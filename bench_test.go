@@ -1,12 +1,14 @@
 // Package repro's root benchmark harness regenerates every table and
-// figure of the paper's evaluation (see DESIGN.md's experiment index):
+// figure of the paper's evaluation (one runner per artifact in
+// internal/experiments, the same set `vsweep -exp` names):
 //
 //	go test -bench=. -benchmem
 //
 // Each benchmark runs the corresponding experiment at paper scale
 // (180 s captures) and prints the rows/series the paper reports on its
-// first iteration, so a bench run doubles as the reproduction log
-// recorded in EXPERIMENTS.md.
+// first iteration, so a bench run doubles as a reproduction log.
+// `cmd/vbench` records the suite's ns/op, B/op and allocs/op as
+// BENCH_*.json (README "Benchmark trajectory").
 package repro
 
 import (

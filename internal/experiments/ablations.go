@@ -16,7 +16,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out.
+// Ablation experiments for the simulator's design choices.
 // They operate at the substrate level (raw TCP over netem) or via
 // session overrides, isolating one mechanism each.
 

@@ -1,5 +1,5 @@
 // Package experiments contains one runner per table and figure of the
-// paper's evaluation (see DESIGN.md's experiment index). Each runner
+// paper's evaluation (the set `vsweep -exp` names). Each runner
 // executes the necessary simulated sessions, computes the paper's
 // metric, and returns both a printable artifact (the rows/series the
 // paper reports) and structured values that the tests and benches

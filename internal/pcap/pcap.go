@@ -128,7 +128,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}, nil
 }
 
-// Next returns the next record, or io.EOF at clean end of stream.
+// Next returns the next record, or io.EOF at clean end of stream. A
+// record whose capLen exceeds the file's snaplen (or, with no snaplen,
+// 256 MiB), or whose microsecond field is not below one second, is
+// rejected with ErrFormat.
 func (r *Reader) Next() (*Record, error) {
 	var rh [16]byte
 	if _, err := io.ReadFull(r.r, rh[:]); err != nil {
@@ -139,12 +142,15 @@ func (r *Reader) Next() (*Record, error) {
 	}
 	sec := r.order.Uint32(rh[0:])
 	usec := r.order.Uint32(rh[4:])
-	capLen := int(r.order.Uint32(rh[8:]))
-	if capLen < 0 || capLen > 256<<20 {
+	if usec >= 1e6 {
 		return nil, ErrFormat
 	}
-	data := make([]byte, capLen)
-	if _, err := io.ReadFull(r.r, data); err != nil {
+	capLen := int(r.order.Uint32(rh[8:]))
+	if capLen < 0 || capLen > maxCapLen || (r.SnapLen > 0 && capLen > r.SnapLen) {
+		return nil, ErrFormat
+	}
+	data, err := readRecord(r.r, capLen)
+	if err != nil {
 		return nil, fmt.Errorf("pcap: reading %d record bytes: %w", capLen, err)
 	}
 	return &Record{
@@ -152,6 +158,35 @@ func (r *Reader) Next() (*Record, error) {
 		OrigLen: int(r.order.Uint32(rh[12:])),
 		Data:    data,
 	}, nil
+}
+
+const (
+	// maxCapLen caps a record when the global header gives no snaplen.
+	maxCapLen = 256 << 20
+	// firstChunk is the most readRecord allocates before the input has
+	// supplied a byte of the record.
+	firstChunk = 4 << 10
+)
+
+// readRecord reads exactly n bytes without trusting n for the
+// allocation: the buffer starts at no more than firstChunk bytes and
+// only doubles once the bytes already read fill it, so a record header
+// that claims more than the input holds fails on the short read having
+// allocated at most about twice what the input supplied.
+func readRecord(rd io.Reader, n int) ([]byte, error) {
+	data := make([]byte, min(n, firstChunk))
+	got := 0
+	for {
+		m, err := io.ReadFull(rd, data[got:])
+		got += m
+		if err != nil {
+			return nil, err
+		}
+		if got == n {
+			return data, nil
+		}
+		data = append(data, make([]byte, min(n-got, got))...)
+	}
 }
 
 // ReadAll drains the stream into memory.

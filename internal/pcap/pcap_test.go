@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -181,6 +182,139 @@ func TestEmptyCapture(t *testing.T) {
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("empty capture: recs=%d err=%v", len(recs), err)
 	}
+}
+
+// header builds a little-endian global header with the given snaplen
+// followed by one record header claiming capLen bytes.
+func header(snaplen, capLen, usec uint32) []byte {
+	b := make([]byte, 40)
+	binary.LittleEndian.PutUint32(b[0:], 0xa1b2c3d4)
+	binary.LittleEndian.PutUint16(b[4:], 2)
+	binary.LittleEndian.PutUint16(b[6:], 4)
+	binary.LittleEndian.PutUint32(b[16:], snaplen)
+	binary.LittleEndian.PutUint32(b[20:], LinkTypeRaw)
+	binary.LittleEndian.PutUint32(b[28:], usec)
+	binary.LittleEndian.PutUint32(b[32:], capLen)
+	binary.LittleEndian.PutUint32(b[36:], capLen)
+	return b
+}
+
+// A 40-byte file whose one record header claims a huge capLen must
+// fail on the short read without allocating anything like capLen.
+func TestHugeCapLenBoundedAlloc(t *testing.T) {
+	file := header(0, 256<<20, 0)
+	r, err := NewReader(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = r.Next()
+	runtime.ReadMemStats(&after)
+	if err == nil || err == io.EOF {
+		t.Fatalf("huge capLen on a 40-byte file gave err=%v, want a read error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("Next allocated %d bytes for a record the input does not hold", got)
+	}
+}
+
+func TestCapLenAboveSnapLen(t *testing.T) {
+	file := append(header(96, 97, 0), make([]byte, 97)...)
+	r, err := NewReader(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != ErrFormat {
+		t.Fatalf("capLen above snaplen gave err=%v, want ErrFormat", err)
+	}
+	file = append(header(96, 96, 0), make([]byte, 96)...)
+	if r, _ = NewReader(bytes.NewReader(file)); r == nil {
+		t.Fatal("NewReader rejected a valid header")
+	}
+	if rec, err := r.Next(); err != nil || len(rec.Data) != 96 {
+		t.Fatalf("capLen == snaplen: rec=%v err=%v", rec, err)
+	}
+}
+
+func TestMicrosecondOverflow(t *testing.T) {
+	r, err := NewReader(bytes.NewReader(header(0, 0, 1e6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != ErrFormat {
+		t.Fatalf("usec = 1e6 gave err=%v, want ErrFormat", err)
+	}
+}
+
+// A record larger than the first read chunk is read whole.
+func TestLargeRecord(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 3*firstChunk+17)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	if err := w.WriteRaw(time.Second, data, len(data)); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := NewReader(&buf)
+	rec, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Data, data) {
+		t.Fatalf("read %d bytes back, want the %d written", len(rec.Data), len(data))
+	}
+}
+
+// FuzzPcapReader feeds arbitrary bytes to the reader: it must not
+// panic, and every record it accepts must survive a Writer round trip.
+func FuzzPcapReader(f *testing.F) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, 64)
+	_ = w.WritePacket(1500*time.Microsecond, seg(1, []byte("hello")))
+	_ = w.WritePacket(2*time.Second, seg(2, bytes.Repeat([]byte{7}, 100)))
+	f.Add(buf.Bytes())
+	f.Add(header(0, 256<<20, 0))
+	f.Add(header(96, 97, 999999))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, err := NewReader(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		recs, _ := r.ReadAll()
+		var out bytes.Buffer
+		w, err := NewWriter(&out, r.SnapLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := w.WriteRaw(rec.TS, rec.Data, rec.OrigLen); err != nil {
+				t.Fatal(err)
+			}
+		}
+		back, err := NewReader(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := back.ReadAll()
+		if err != nil {
+			t.Fatalf("re-reading %d written records: %v", len(recs), err)
+		}
+		if len(again) != len(recs) {
+			t.Fatalf("round trip gave %d records, want %d", len(again), len(recs))
+		}
+		for i, rec := range recs {
+			got := again[i]
+			if got.TS != rec.TS || got.OrigLen != rec.OrigLen || !bytes.Equal(got.Data, rec.Data) {
+				t.Fatalf("record %d: round trip gave %+v, want %+v", i, got, rec)
+			}
+		}
+	})
 }
 
 func BenchmarkWritePacket(b *testing.B) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -204,6 +205,76 @@ func TestStopAbortsRun(t *testing.T) {
 	s.Run()
 	if n != 3 {
 		t.Fatalf("ran %d events after Stop, want 3", n)
+	}
+}
+
+// logTask is a borrowed-seq arm that records its firing by name.
+type logTask struct {
+	log  *[]string
+	name string
+}
+
+func (l logTask) RunTask(int32) { *l.log = append(*l.log, l.name) }
+
+// stopInsideInstant schedules several events for one instant T — a
+// timer cancelled up front, a plain event, a seq reserved for a
+// borrowed-seq AtTaskSeq arm, a timer the instant itself cancels, and
+// one event after T — and makes the instant's first event arm the
+// borrowed seq, schedule a fresh same-instant event and call Stop.
+func stopInsideInstant(s *Scheduler) (*[]string, time.Duration) {
+	const T = 10 * time.Millisecond
+	log := new([]string)
+	rec := func(name string) func() { return func() { *log = append(*log, name) } }
+	s.TimerAt(T, rec("cancelled")).Stop()
+	var inner Timer
+	var armSeq uint64
+	s.At(T, func() {
+		*log = append(*log, "first")
+		inner.Stop()
+		s.At(s.Now(), rec("fresh"))
+		s.AtTaskSeq(T, armSeq, logTask{log, "arm"}, 0)
+		s.Stop()
+	})
+	armSeq = s.ReserveSeq()
+	inner = s.TimerAt(T, rec("cancelled-inside"))
+	s.At(T, rec("plain"))
+	s.At(T+time.Millisecond, rec("later"))
+	return log, T
+}
+
+// TestStopInsideInstant pins Stop in the middle of one timestamp, for
+// Run and RunUntil alike: the live remainder stays pending (cancelled
+// timers excluded), the clock stays at the instant, and resuming fires
+// the remainder in (at, seq) order — the borrowed-seq arm before the
+// plain event it was reserved ahead of, the fresh event after both.
+func TestStopInsideInstant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(s *Scheduler, until time.Duration)
+		end  time.Duration
+	}{
+		{"Run", func(s *Scheduler, _ time.Duration) { s.Run() }, 11 * time.Millisecond},
+		{"RunUntil", (*Scheduler).RunUntil, 15 * time.Millisecond},
+	} {
+		s := NewScheduler(1)
+		log, T := stopInsideInstant(s)
+		tc.run(s, 15*time.Millisecond)
+		if got := strings.Join(*log, " "); got != "first" || s.Now() != T {
+			t.Fatalf("%s: stopped after %q at %v, want %q at %v", tc.name, got, s.Now(), "first", T)
+		}
+		if got := s.Pending(); got != 4 { // arm, plain, fresh, later
+			t.Fatalf("%s: Pending after Stop = %d, want 4", tc.name, got)
+		}
+		if s.PendingBefore(T, 2) || !s.PendingBefore(T, 3) {
+			t.Fatalf("%s: PendingBefore does not see the arm at (T, 2) as the frontier", tc.name)
+		}
+		tc.run(s, 15*time.Millisecond)
+		if got, want := strings.Join(*log, " "), "first arm plain fresh later"; got != want {
+			t.Fatalf("%s: resumed run fired %q, want %q", tc.name, got, want)
+		}
+		if s.Pending() != 0 || s.Now() != tc.end {
+			t.Fatalf("%s: after resuming, Pending %d, clock %v, want 0, %v", tc.name, s.Pending(), s.Now(), tc.end)
+		}
 	}
 }
 

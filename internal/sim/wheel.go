@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // The hierarchical timer wheel defers mid-range events away from the
 // heap. A fleet schedules O(clients) concurrent pacing, RTO and drain
@@ -106,14 +109,22 @@ func (s *Scheduler) wheelBound() int64 {
 // nextOccupied returns the cyclic distance (1..wheelSlots) from
 // curSlot to the next occupied slot of the level, or 0 if the level is
 // empty. Distance wheelSlots is curSlot itself — a slot one full
-// rotation ahead.
+// rotation ahead. The bitmap is scanned a word (64 slots) at a time:
+// the word holding curSlot+1 with the bits below it masked off, the
+// following words in cyclic order, and finally that first word whole,
+// whose low bits are the slots up to and including curSlot.
 func (s *Scheduler) nextOccupied(level, curSlot int) int {
 	bm := &s.wbits[level]
-	for d := 1; d <= wheelSlots; d++ {
-		slot := (curSlot + d) & wheelMask
-		if bm[slot>>6]&(1<<(slot&63)) != 0 {
-			return d
+	start := (curSlot + 1) & wheelMask
+	w := start >> 6
+	word := bm[w] &^ (uint64(1)<<(start&63) - 1)
+	for range len(bm) + 1 {
+		if word != 0 {
+			slot := w<<6 | bits.TrailingZeros64(word)
+			return (slot-curSlot-1)&wheelMask + 1
 		}
+		w = (w + 1) % len(bm)
+		word = bm[w]
 	}
 	return 0
 }
@@ -153,7 +164,7 @@ func (s *Scheduler) advance(tick int64) {
 			}
 			if level == 0 {
 				// A level-0 slot entered by the cursor holds only matured
-				// events: batch-pop the whole slot straight onto the heap
+				// events: push the whole slot straight onto the heap
 				// instead of re-deriving the route per event.
 				s.push(ev)
 				continue

@@ -358,3 +358,62 @@ func TestWheelRearmChurn(t *testing.T) {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
 }
+
+// nextOccupiedBits is the reference for nextOccupied's word scan: it
+// probes slots curSlot+1, curSlot+2, ... around the level one bit at a
+// time and returns the first occupied distance.
+func nextOccupiedBits(bm *[wheelSlots / 64]uint64, curSlot int) int {
+	for d := 1; d <= wheelSlots; d++ {
+		slot := (curSlot + d) & wheelMask
+		if bm[slot>>6]&(1<<(slot&63)) != 0 {
+			return d
+		}
+	}
+	return 0
+}
+
+// checkNextOccupied compares the word scan with the bit scan for one
+// occupancy pattern at every curSlot.
+func checkNextOccupied(t *testing.T, s *Scheduler, bm [wheelSlots / 64]uint64) {
+	t.Helper()
+	s.wbits[0] = bm
+	for cur := 0; cur < wheelSlots; cur++ {
+		want := nextOccupiedBits(&bm, cur)
+		if got := s.nextOccupied(0, cur); got != want {
+			t.Fatalf("bits %#x curSlot %d: nextOccupied = %d, bit scan = %d", bm, cur, got, want)
+		}
+	}
+}
+
+// TestNextOccupiedMatchesBitScan pins the word-at-a-time scan to the
+// bit-by-bit one at every curSlot: an empty level, every single
+// occupied slot (which covers one bit in each word, wrap-around past
+// slot 255 and curSlot itself at distance wheelSlots), word-boundary
+// pairs and random fills of every density.
+func TestNextOccupiedMatchesBitScan(t *testing.T) {
+	s := NewScheduler(1)
+	var bm [wheelSlots / 64]uint64
+	checkNextOccupied(t, s, bm) // empty level
+	for slot := 0; slot < wheelSlots; slot++ {
+		bm = [wheelSlots / 64]uint64{}
+		bm[slot>>6] = 1 << (slot & 63)
+		checkNextOccupied(t, s, bm)
+	}
+	for w := range bm {
+		// The last slot of one word and the first of the next.
+		bm = [wheelSlots / 64]uint64{}
+		bm[w] = 1 << 63
+		bm[(w+1)%len(bm)] |= 1
+		checkNextOccupied(t, s, bm)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		for w := range bm {
+			bm[w] = rng.Uint64()
+			for k := i % 6; k > 0; k-- {
+				bm[w] &= rng.Uint64() // sparser fills as k grows
+			}
+		}
+		checkNextOccupied(t, s, bm)
+	}
+}
