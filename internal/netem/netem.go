@@ -112,12 +112,15 @@ type Tap interface {
 //
 // Event cost: the link schedules no per-packet events. Queue drains are
 // settled lazily against the scheduler's execution point (settleDrains)
-// and deliveries ride a single pump timer armed for the earliest
-// pending arrival (pump/arm). The firing order observed by receivers is
-// bit-identical to a scheme with two scheduler entries per packet: Send
-// reserves the exact sequence numbers that scheme would have consumed,
-// the pump timer borrows the head record's number, and the pump yields
-// back to the scheduler whenever any other event orders first.
+// and deliveries ride the link's scheduler lane, armed for the earliest
+// pending arrival (RunTask/arm). That is one dispatch per delivered
+// packet, and no pump event ever enters the scheduler's timer wheel or
+// heap.
+// The firing order observed by receivers is bit-identical to a scheme
+// with two scheduler entries per packet: Send reserves the exact
+// sequence numbers that scheme would have consumed and the lane
+// borrows the head record's number, so each delivery fires exactly
+// where that scheme's event would.
 type Link struct {
 	sch       *sim.Scheduler
 	rate      Bandwidth
@@ -133,9 +136,9 @@ type Link struct {
 
 	drains  ring[drainRec]  // end-of-serialization edges, monotone (at, seq)
 	flights ring[flightRec] // in-flight segments, sorted by (deliverAt, seq)
-	armed   bool            // a live pump timer is outstanding
-	armSeq  uint64          // seq the live pump timer borrowed
-	armGen  int32           // op code of the live timer; older arms are stale
+	lane    int32           // the link's scheduler lane
+	armed   bool            // the lane holds the head record's event
+	armSeq  uint64          // seq the armed lane borrowed
 
 	// Counters for tests and diagnostics.
 	Sent    int
@@ -185,51 +188,31 @@ func (l *Link) settleDrains() {
 	}
 }
 
-// RunTask implements sim.Task: the pump timer fired. Stale arms
-// (superseded when an earlier arrival re-armed the pump) are ignored by
-// generation.
-func (l *Link) RunTask(op int32) {
-	if op != l.armGen {
-		return
-	}
+// RunTask implements sim.Task: the link's lane fired. It retires the
+// head record, whose reserved (at, seq) is the lane event that just
+// fired, and re-arms for the next one. Records sharing the instant
+// each take their own dispatch, so any other event reserved between
+// them still fires in between.
+func (l *Link) RunTask(int32) {
 	l.armed = false
-	l.pump()
-}
-
-// pump retires every head record whose delivery point has been reached,
-// yielding whenever another pending event orders before the head's
-// reserved (at, seq) so cross-link interleaving stays exact, then
-// re-arms for the next edge.
-func (l *Link) pump() {
-	now := l.sch.Now()
-	for l.flights.n > 0 {
-		f := l.flights.front()
-		if f.at > now || l.sch.PendingBefore(f.at, f.seq) {
-			break
-		}
-		l.sch.AdoptSeq(f.seq)
-		seg := f.seg
-		f.seg = nil
-		l.flights.popFront()
-		l.dst.Deliver(seg)
-		if l.armed {
-			// A reentrant Send routed back into this link and re-armed
-			// the pump; that timer now owns the remaining records.
-			return
-		}
-	}
+	f := l.flights.front()
+	seg := f.seg
+	f.seg = nil
+	l.flights.popFront()
+	l.dst.Deliver(seg)
+	// A reentrant Send routed back into this link may already have
+	// re-armed the lane; arm is then a no-op.
 	l.arm()
 }
 
-// arm schedules the pump timer at the head record's reserved (at, seq),
-// superseding any stale outstanding timer.
+// arm points the lane at the head record's reserved (at, seq),
+// replacing whatever event the lane held.
 func (l *Link) arm() {
 	if l.armed || l.flights.n == 0 {
 		return
 	}
 	f := l.flights.front()
-	l.armGen++
-	l.sch.AtTaskSeq(f.at, f.seq, l, l.armGen)
+	l.sch.ArmLane(l.lane, f.at, f.seq)
 	l.armed = true
 	l.armSeq = f.seq
 }
@@ -265,7 +248,9 @@ func NewLink(sch *sim.Scheduler, rate Bandwidth, delay time.Duration, queueBytes
 	if loss == nil {
 		loss = NoLoss{}
 	}
-	return &Link{sch: sch, rate: rate, delay: delay, queueCap: queueBytes, loss: loss, dst: dst}
+	l := &Link{sch: sch, rate: rate, delay: delay, queueCap: queueBytes, loss: loss, dst: dst}
+	l.lane = sch.NewLane(l)
+	return l
 }
 
 // AddTap registers a capture tap on the link.
@@ -276,9 +261,9 @@ func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
 // Queued and in-flight packets are discarded, counters zeroed, taps
 // removed, and any Dynamics-applied mutations (rate, delay, loss,
 // AQM, outage) overwritten. The destination receiver is kept — wiring
-// is topology, not state; callers that re-wire set it separately. The
-// scheduler the link schedules on must be Reset in the same pass:
-// a stale pump timer surviving in the scheduler would misfire.
+// is topology, not state; callers that re-wire set it separately, and
+// so is the lane, which Reset only disarms. The scheduler the link
+// schedules on is normally Reset in the same pass.
 func (l *Link) Reset(rate Bandwidth, delay time.Duration, queueBytes int, loss LossModel, aqm AQM) {
 	if loss == nil {
 		loss = NoLoss{}
@@ -295,9 +280,9 @@ func (l *Link) Reset(rate Bandwidth, delay time.Duration, queueBytes int, loss L
 	l.taps = l.taps[:0]
 	l.drains.reset()
 	l.flights.reset()
+	l.sch.DisarmLane(l.lane)
 	l.armed = false
 	l.armSeq = 0
-	l.armGen = 0
 	l.Sent = 0
 	l.Dropped = 0
 	l.Bytes = 0
@@ -406,7 +391,7 @@ func (l *Link) Send(seg *packet.Segment) {
 	arrive := done + l.delay
 	// Reserve the two consecutive sequence numbers the per-event scheme
 	// would have consumed (drain before deliver at equal timestamps);
-	// the drain settles lazily and the deliver rides the pump timer.
+	// the drain settles lazily and the deliver rides the lane.
 	drainSeq := l.sch.ReserveSeq()
 	deliverSeq := l.sch.ReserveSeq()
 	l.drains.pushBack(drainRec{at: done, seq: drainSeq, size: int32(size)})

@@ -252,7 +252,7 @@ func diffPumpTraces(t *testing.T, seed int64, ref, got []pumpEvt) {
 	}
 }
 
-// TestPumpEquivalence pins the tentpole invariant: the one-timer-per-
+// TestPumpEquivalence pins the tentpole invariant: the one-lane-per-
 // link pump delivers randomized churn workloads in exactly the order
 // the two-events-per-packet reference link does.
 func TestPumpEquivalence(t *testing.T) {

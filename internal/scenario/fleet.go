@@ -498,24 +498,19 @@ func fleetCellSeed(seed int64, firstClient int) int64 {
 func (r *FleetResult) merge(sh *FleetResult) {
 	r.Clients += sh.Clients
 	r.Groups += sh.Groups
-	r.RateMbps.Merge(sh.RateMbps)
-	r.StartupSec.Merge(sh.StartupSec)
-	r.RebufCount.Merge(sh.RebufCount)
-	r.RebufSec.Merge(sh.RebufSec)
-	r.SwitchCount.Merge(sh.SwitchCount)
-	r.FetchedMbps.Merge(sh.FetchedMbps)
+	sketches, series := r.mergeParts(sh)
+	for _, p := range sketches {
+		p[0].Merge(p[1])
+	}
+	for _, p := range series {
+		p[0].Merge(p[1])
+	}
 	for len(r.RungSec) < len(sh.RungSec) {
 		r.RungSec = append(r.RungSec, 0)
 	}
 	for i, sec := range sh.RungSec {
 		r.RungSec[i] += sec
 	}
-	r.CoreUtil.Merge(sh.CoreUtil)
-	r.AggUtil.Merge(sh.AggUtil)
-	r.AccessUtil.Merge(sh.AccessUtil)
-	r.ConcurrencyDeltas.Merge(sh.ConcurrencyDeltas)
-	r.AggBurst.Merge(sh.AggBurst)
-	r.CoreBurst.Merge(sh.CoreBurst)
 	r.CoreOffered += sh.CoreOffered
 	r.CoreDropped += sh.CoreDropped
 	r.AggDropped += sh.AggDropped
@@ -528,6 +523,21 @@ func (r *FleetResult) merge(sh *FleetResult) {
 		r.Exact.RateMbps = append(r.Exact.RateMbps, sh.Exact.RateMbps...)
 		r.Exact.StartupSec = append(r.Exact.StartupSec, sh.Exact.StartupSec...)
 	}
+}
+
+// mergeParts pairs every sketch and binned series of r with its
+// counterpart in sh: the one list of fields merge folds and checkMerge
+// vets.
+func (r *FleetResult) mergeParts(sh *FleetResult) ([8][2]*stats.Sketch, [4][2]*stats.Binned) {
+	return [8][2]*stats.Sketch{
+			{r.RateMbps, sh.RateMbps}, {r.StartupSec, sh.StartupSec},
+			{r.RebufCount, sh.RebufCount}, {r.RebufSec, sh.RebufSec},
+			{r.SwitchCount, sh.SwitchCount}, {r.FetchedMbps, sh.FetchedMbps},
+			{r.AggBurst, sh.AggBurst}, {r.CoreBurst, sh.CoreBurst},
+		}, [4][2]*stats.Binned{
+			{r.CoreUtil, sh.CoreUtil}, {r.AggUtil, sh.AggUtil},
+			{r.AccessUtil, sh.AccessUtil}, {r.ConcurrencyDeltas, sh.ConcurrencyDeltas},
+		}
 }
 
 // finalize derives the quotient fields once every cell has been folded

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -148,7 +149,9 @@ func DecodeFleetResult(d *stats.Decoder, f Fleet) (*FleetResult, error) {
 	r.Downloaded = d.I64()
 	r.ActiveClients = int(d.I64())
 	r.StarvedClients = int(d.I64())
-	if d.I64() != 0 {
+	switch d.I64() {
+	case 0:
+	case 1:
 		r.Exact = &FleetExact{}
 		if r.Exact.RateMbps, err = fleetDecodeVec(d); err != nil {
 			return nil, err
@@ -156,6 +159,11 @@ func DecodeFleetResult(d *stats.Decoder, f Fleet) (*FleetResult, error) {
 		if r.Exact.StartupSec, err = fleetDecodeVec(d); err != nil {
 			return nil, err
 		}
+	default:
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		return nil, fmt.Errorf("scenario: fleet result encoding: bad Exact flag")
 	}
 	return r, d.Err()
 }
@@ -176,6 +184,24 @@ func UnmarshalFleetResult(data []byte, f Fleet) (*FleetResult, error) {
 // maxFleetRecord bounds one serialized cell record — a corruption
 // guard, far above anything a real cell produces.
 const maxFleetRecord = 1 << 30
+
+// checkMerge reports an error where r.merge(sh) would panic: a sketch
+// with a different relative error, or a binned series of a different
+// geometry, as a foreign or corrupt cell record can carry.
+func (r *FleetResult) checkMerge(sh *FleetResult) error {
+	sketches, series := r.mergeParts(sh)
+	for i, p := range sketches {
+		if !p[0].CanMerge(p[1]) {
+			return fmt.Errorf("scenario: sketch %d does not merge (relative error mismatch)", i)
+		}
+	}
+	for i, p := range series {
+		if !p[0].CanMerge(p[1]) {
+			return fmt.Errorf("scenario: binned series %d does not merge (geometry mismatch)", i)
+		}
+	}
+	return nil
+}
 
 // WriteFleetCells runs cells [lo, hi) of the fleet and streams each
 // cell's result to w as a length-prefixed record, in cell order. This
@@ -222,6 +248,11 @@ func WriteFleetCells(w io.Writer, o runner.Options, f Fleet, lo, hi int) error {
 func MergeFleetCellStreams(f Fleet, readers ...io.Reader) (*FleetResult, error) {
 	f = f.withDefaults()
 	var res *FleetResult
+	// One record at a time, in a reused buffer that grows only as the
+	// stream supplies bytes: a length prefix claiming more than the
+	// stream holds fails on the short read having allocated about
+	// twice what the stream held, not what the prefix claimed.
+	var rec bytes.Buffer
 	for i, rd := range readers {
 		br := bufio.NewReader(rd)
 		for {
@@ -236,16 +267,18 @@ func MergeFleetCellStreams(f Fleet, readers ...io.Reader) (*FleetResult, error) 
 			if n == 0 || n > maxFleetRecord {
 				return nil, fmt.Errorf("scenario: cell stream %d: bad record length %d", i, n)
 			}
-			buf := make([]byte, n)
-			if _, err := io.ReadFull(br, buf); err != nil {
+			rec.Reset()
+			if _, err := io.CopyN(&rec, br, int64(n)); err != nil {
 				return nil, fmt.Errorf("scenario: cell stream %d: %w", i, err)
 			}
-			cell, err := UnmarshalFleetResult(buf, f)
+			cell, err := UnmarshalFleetResult(rec.Bytes(), f)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: cell stream %d: %w", i, err)
 			}
 			if res == nil {
 				res = cell
+			} else if err := res.checkMerge(cell); err != nil {
+				return nil, fmt.Errorf("scenario: cell stream %d: %w", i, err)
 			} else {
 				res.merge(cell)
 			}

@@ -4,19 +4,22 @@
 // (time, insertion-order) order, so runs with the same seed are fully
 // reproducible.
 //
-// The event queue is a two-tier structure: a hierarchical timer wheel
-// (wheel.go) absorbs mid-range timers with O(1) insertion and
-// heap-free cancellation, while a value-based 4-ary heap orders the
+// Pending events live in three places. Scheduler lanes (lane.go) hold
+// the per-hop pump events of netem links, at most one per lane, in a
+// winner tree; those events never touch the other two tiers. A
+// hierarchical timer wheel (wheel.go) absorbs the remaining mid-range
+// timers (TCP, player and application) with O(1) insertion and
+// heap-free cancellation, while a value-based 4-ary heap orders their
 // imminent frontier by (time, insertion-order) and holds far-future
 // overflow. The loop dispatches one event at a time: flush the wheel
-// up to the heap frontier, pop the heap top, run it. Entries are
-// stored inline, so scheduling a fire-and-forget event performs no
-// allocation beyond the callback itself. Hot paths that would
-// otherwise allocate a closure per event can instead implement Task
-// and schedule themselves with AtTask, passing a small op code to
-// select the behaviour. Cancellable timers draw bookkeeping slots from
-// a free list, so re-arming a timer (the TCP RTO pattern) is
-// allocation-free at steady state.
+// up to the earlier of the heap top and the lane root, then run
+// whichever of those two orders first. Entries are stored inline, so
+// scheduling a fire-and-forget event performs no allocation beyond the
+// callback itself. Hot paths that would otherwise allocate a closure
+// per event can instead implement Task and schedule themselves with
+// AtTask, passing a small op code to select the behaviour. Cancellable
+// timers draw bookkeeping slots from a free list, so re-arming a timer
+// (the TCP RTO pattern) is allocation-free at steady state.
 package sim
 
 import (
@@ -111,21 +114,30 @@ type Scheduler struct {
 	wcount  int     // events currently parked in the wheel
 	wcursor int64   // tick the wheel has advanced to; wheel events are strictly later
 	wbound  int64   // cached earliest occupied slot start (ticks); -1 = recompute
+
+	// Scheduler lanes (see lane.go): registrations by lane id, the
+	// winner tree over their keys (root at 1, leaves from len/2), and
+	// the key of the lane being fired (id -1 when none).
+	lanes   []Task
+	ltree   []laneKey
+	lfiring laneKey
 }
 
 // NewScheduler returns a scheduler whose clock starts at zero and whose
 // random source is seeded with seed.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{rng: rand.New(rand.NewSource(seed)), wbound: -1}
+	return &Scheduler{rng: rand.New(rand.NewSource(seed)), wbound: -1, lfiring: laneKey{id: -1}}
 }
 
 // Reset returns the scheduler to the state NewScheduler(seed) produces
 // while keeping every backing allocation — heap, timer slots and
 // wheel-node storage — so a recycled scheduler runs the next simulation
 // without rebuilding its queues. Pending events are discarded (their
-// fn/task references released) and the rng is re-seeded. Outstanding
-// Timer handles must not be used across a Reset: slot generations
-// restart, so a stale handle could alias a fresh timer.
+// fn/task references released) and the rng is re-seeded. Every lane is
+// idled but stays registered, so owners recycled alongside the
+// scheduler keep their lane ids. Outstanding Timer handles must not be
+// used across a Reset: slot generations restart, so a stale handle
+// could alias a fresh timer.
 func (s *Scheduler) Reset(seed int64) {
 	s.now = 0
 	s.seq = 0
@@ -145,6 +157,7 @@ func (s *Scheduler) Reset(seed int64) {
 	s.wcount = 0
 	s.wcursor = 0
 	s.wbound = -1
+	s.resetLanes()
 }
 
 // Now returns the current virtual time.
@@ -154,15 +167,8 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
 func (s *Scheduler) schedule(t time.Duration, fn func(), task Task, op int32, slot int32) {
-	s.placeAt(event{at: t, seq: s.seq, fn: fn, task: task, op: op, slot: slot})
-	s.seq++
-}
-
-// placeAt routes a fully formed event (timestamp and sequence number
-// already assigned) into the wheel or heap.
-func (s *Scheduler) placeAt(ev event) {
-	if ev.at < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.at, s.now))
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	if s.wcount == 0 {
 		// An empty wheel can advance for free; keeping the cursor at the
@@ -171,7 +177,8 @@ func (s *Scheduler) placeAt(ev event) {
 			s.wcursor = nowTick
 		}
 	}
-	s.place(ev)
+	s.place(event{at: t, seq: s.seq, fn: fn, task: task, op: op, slot: slot})
+	s.seq++
 }
 
 // ---- Event elision (drain pumps) ----
@@ -181,13 +188,12 @@ func (s *Scheduler) placeAt(ev event) {
 // earliest entry (netem.Link is the canonical user). To keep the global
 // firing order bit-identical to the one-event-per-packet scheme, the
 // pump reserves a sequence number per elided event at the moment the
-// reference scheme would have scheduled it (ReserveSeq), arms its timer
-// with the earliest entry's reserved number (AtTaskSeq), and before
-// retiring each entry asks whether any real pending event orders before
-// it (PendingBefore) — if one does, the pump re-arms and yields.
-// AdoptSeq makes the retired entry the "current" event so that lazy
-// state settled against EventSeq (e.g. link queue occupancy) observes
-// exactly the state the reference scheme would have produced.
+// reference scheme would have scheduled it (ReserveSeq), arms its lane
+// with the earliest entry's reserved number (ArmLane), and retires one
+// entry per lane fire. The fire makes the borrowed number the current
+// event, so lazy state settled against EventSeq (e.g. link queue
+// occupancy) observes exactly the state the reference scheme would
+// have produced.
 
 // ReserveSeq consumes and returns the next event sequence number
 // without scheduling anything. Elided events must reserve their numbers
@@ -197,37 +203,6 @@ func (s *Scheduler) ReserveSeq() uint64 {
 	s.seq++
 	return seq
 }
-
-// AtTaskSeq schedules task.RunTask(op) at absolute time t with a
-// previously reserved sequence number, so the event fires exactly where
-// the reservation point falls in the global (time, insertion) order.
-// An arm for the current instant is due at once, so it goes straight
-// to the heap instead of taking a wheel placement the next dispatch
-// would flush again.
-func (s *Scheduler) AtTaskSeq(t time.Duration, seq uint64, task Task, op int32) {
-	ev := event{at: t, seq: seq, task: task, op: op, slot: noSlot}
-	if t == s.now {
-		s.push(ev)
-		return
-	}
-	s.placeAt(ev)
-}
-
-// PendingBefore reports whether any live pending event orders strictly
-// before (t, seq). Cancelled timers encountered at the frontier are
-// discarded, exactly as the dispatch loop would discard them. Only the
-// heap is consulted: while an event at the current instant runs, every
-// wheel-parked event is due strictly later, so callers must pass a t
-// no later than Now.
-func (s *Scheduler) PendingBefore(t time.Duration, seq uint64) bool {
-	at, ok := s.heapTopLive()
-	return ok && (at < t || (at == t && s.heap[0].seq < seq))
-}
-
-// AdoptSeq marks a reserved sequence number as the currently executing
-// event. Pumps call it per retired entry so EventSeq-based lazy
-// settling sees the reference scheme's exact execution point.
-func (s *Scheduler) AdoptSeq(seq uint64) { s.cur = seq }
 
 // EventSeq returns the sequence number of the event being executed, or
 // the next number to be assigned when the loop is idle — the bound
@@ -394,16 +369,20 @@ func (s *Scheduler) Step() bool { return s.step(0, false) }
 // due after deadline. It reports whether an event was run. Run,
 // RunUntil and Step all dispatch through it, one event at a time.
 func (s *Scheduler) step(deadline time.Duration, bounded bool) bool {
-	t, ok := s.nextReady()
+	t, lane, ok := s.nextReady()
 	if !ok || (bounded && t > deadline) {
 		return false
 	}
-	ev := s.pop()
-	if ev.slot != noSlot {
-		s.freeSlot(ev.slot)
-	}
 	s.now = t
-	s.exec(ev)
+	if lane {
+		s.fireLane()
+	} else {
+		ev := s.pop()
+		if ev.slot != noSlot {
+			s.freeSlot(ev.slot)
+		}
+		s.exec(ev)
+	}
 	s.cur = s.seq
 	return true
 }
@@ -441,9 +420,10 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 // Stop aborts a Run or RunUntil in progress after the current event.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Pending returns the number of live scheduled events.
+// Pending returns the number of live scheduled events, counting each
+// armed lane once.
 func (s *Scheduler) Pending() int {
-	n := s.wheelPending()
+	n := s.wheelPending() + s.lanesPending()
 	for i := range s.heap {
 		ev := &s.heap[i]
 		if ev.slot != noSlot && s.slots[ev.slot].stopped {

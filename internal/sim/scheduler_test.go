@@ -208,7 +208,7 @@ func TestStopAbortsRun(t *testing.T) {
 	}
 }
 
-// logTask is a borrowed-seq arm that records its firing by name.
+// logTask is a lane task that records its firing by name.
 type logTask struct {
 	log  *[]string
 	name string
@@ -218,9 +218,10 @@ func (l logTask) RunTask(int32) { *l.log = append(*l.log, l.name) }
 
 // stopInsideInstant schedules several events for one instant T — a
 // timer cancelled up front, a plain event, a seq reserved for a
-// borrowed-seq AtTaskSeq arm, a timer the instant itself cancels, and
-// one event after T — and makes the instant's first event arm the
-// borrowed seq, schedule a fresh same-instant event and call Stop.
+// borrowed-seq lane arm, a timer the instant itself cancels, and one
+// event after T — and makes the instant's first event arm the lane
+// with the borrowed seq, schedule a fresh same-instant event and call
+// Stop.
 func stopInsideInstant(s *Scheduler) (*[]string, time.Duration) {
 	const T = 10 * time.Millisecond
 	log := new([]string)
@@ -228,11 +229,12 @@ func stopInsideInstant(s *Scheduler) (*[]string, time.Duration) {
 	s.TimerAt(T, rec("cancelled")).Stop()
 	var inner Timer
 	var armSeq uint64
+	lane := s.NewLane(logTask{log, "arm"})
 	s.At(T, func() {
 		*log = append(*log, "first")
 		inner.Stop()
 		s.At(s.Now(), rec("fresh"))
-		s.AtTaskSeq(T, armSeq, logTask{log, "arm"}, 0)
+		s.ArmLane(lane, T, armSeq)
 		s.Stop()
 	})
 	armSeq = s.ReserveSeq()
@@ -264,9 +266,6 @@ func TestStopInsideInstant(t *testing.T) {
 		}
 		if got := s.Pending(); got != 4 { // arm, plain, fresh, later
 			t.Fatalf("%s: Pending after Stop = %d, want 4", tc.name, got)
-		}
-		if s.PendingBefore(T, 2) || !s.PendingBefore(T, 3) {
-			t.Fatalf("%s: PendingBefore does not see the arm at (T, 2) as the frontier", tc.name)
 		}
 		tc.run(s, 15*time.Millisecond)
 		if got, want := strings.Join(*log, " "), "first arm plain fresh later"; got != want {

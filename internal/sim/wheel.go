@@ -174,23 +174,25 @@ func (s *Scheduler) advance(tick int64) {
 	}
 }
 
-// nextReady flushes the wheel up to the heap frontier and returns the
-// timestamp of the earliest live event. On return the event is at the
-// top of the heap; the wheel holds only events at strictly later
+// nextReady flushes the wheel up to the earlier of the heap top and
+// the lane root and returns the timestamp of the earliest live event,
+// with lane set when that event is the lane root rather than the heap
+// top. On return the wheel holds only events at strictly later
 // timestamps (or equal timestamps with larger seq — impossible, since
 // equal timestamps share a slot bound and the bound comparison is <=).
-func (s *Scheduler) nextReady() (time.Duration, bool) {
+func (s *Scheduler) nextReady() (at time.Duration, lane, ok bool) {
 	for {
-		at, ok := s.heapTopLive()
+		at, ok = s.heapTopLive()
+		lane = false
+		if r := s.laneRoot(); r != nil && (!ok || r.at < at || (r.at == at && r.seq < s.heap[0].seq)) {
+			at, lane, ok = r.at, true, true
+		}
 		if s.wcount == 0 {
-			return at, ok
+			return
 		}
 		b := s.wheelBound()
-		if b < 0 {
-			return at, ok
-		}
-		if ok && at < time.Duration(b<<tickShift) {
-			return at, true
+		if b < 0 || (ok && at < time.Duration(b<<tickShift)) {
+			return
 		}
 		s.advance(b)
 	}

@@ -6,12 +6,15 @@ import (
 	"time"
 )
 
-// The wheel must be invisible: every workload fires in exactly the
-// (time, insertion-order) sequence a plain sorted event list produces.
-// refSched is that sorted list — an O(n^2) executable spec of the
-// scheduler contract — and runWorkload drives both implementations
-// through identical randomized schedule/stop/re-arm scripts spanning
-// every wheel tier (sub-tick, levels 0-2, and far-future overflow).
+// The wheel and the lanes must be invisible: every workload fires in
+// exactly the (time, insertion-order) sequence a plain sorted event
+// list produces. refSched is that sorted list — an O(n^2) executable
+// spec of the scheduler contract — and runWorkload drives both
+// implementations through identical randomized schedule/stop/re-arm
+// scripts spanning every wheel tier (sub-tick, levels 0-2, and
+// far-future overflow) and every lane operation. For refSched a lane
+// arm is "cancel the lane's previous event, then schedule with the
+// borrowed seq".
 
 type refEvent struct {
 	at      time.Duration
@@ -24,6 +27,9 @@ type refSched struct {
 	now time.Duration
 	seq uint64
 	evs []refEvent
+
+	laneFns []func()
+	lanes   []*bool // stop flag of each lane's live event; nil when idle
 }
 
 func (r *refSched) after(d time.Duration, fn func()) {
@@ -107,6 +113,36 @@ func (r *refSched) runUntil(deadline time.Duration) {
 
 func (r *refSched) nowAt() time.Duration { return r.now }
 
+func (r *refSched) newLane(fn func()) int {
+	r.laneFns = append(r.laneFns, fn)
+	r.lanes = append(r.lanes, nil)
+	return len(r.lanes) - 1
+}
+
+func (r *refSched) reserve() uint64 {
+	r.seq++
+	return r.seq - 1
+}
+
+func (r *refSched) armLane(lane int, at time.Duration, seq uint64) {
+	r.disarmLane(lane)
+	stopped := new(bool)
+	r.lanes[lane] = stopped
+	r.evs = append(r.evs, refEvent{at: at, seq: seq, fn: r.laneFns[lane], stopped: stopped})
+}
+
+func (r *refSched) disarmLane(lane int) {
+	if r.lanes[lane] != nil {
+		*r.lanes[lane] = true
+		r.lanes[lane] = nil
+	}
+}
+
+func (r *refSched) reset() {
+	r.now, r.seq, r.evs = 0, 0, nil
+	clear(r.lanes)
+}
+
 func (r *refSched) pending() int {
 	n := 0
 	for i := range r.evs {
@@ -126,6 +162,11 @@ type wlDriver interface {
 	runUntil(deadline time.Duration)
 	nowAt() time.Duration
 	pending() int
+	newLane(fn func()) int
+	reserve() uint64
+	armLane(lane int, at time.Duration, seq uint64)
+	disarmLane(lane int)
+	reset()
 }
 
 type realDriver struct{ s *Scheduler }
@@ -138,6 +179,18 @@ func (r realDriver) run()                            { r.s.Run() }
 func (r realDriver) runUntil(deadline time.Duration) { r.s.RunUntil(deadline) }
 func (r realDriver) nowAt() time.Duration            { return r.s.Now() }
 func (r realDriver) pending() int                    { return r.s.Pending() }
+func (r realDriver) newLane(fn func()) int           { return int(r.s.NewLane(laneFunc(fn))) }
+func (r realDriver) reserve() uint64                 { return r.s.ReserveSeq() }
+func (r realDriver) armLane(lane int, at time.Duration, seq uint64) {
+	r.s.ArmLane(int32(lane), at, seq)
+}
+func (r realDriver) disarmLane(lane int) { r.s.DisarmLane(int32(lane)) }
+func (r realDriver) reset()              { r.s.Reset(1) }
+
+// laneFunc adapts a closure to Task for lane registrations.
+type laneFunc func()
+
+func (f laneFunc) RunTask(int32) { f() }
 
 type traceEntry struct {
 	id int
@@ -146,16 +199,28 @@ type traceEntry struct {
 
 // runWorkload drives d through a deterministic random script: an
 // initial batch of events whose callbacks spawn more events, arm
-// cancellable timers, and stop/re-arm earlier timers. Delays are drawn
-// from every tier the scheduler routes between — exact ties, sub-tick,
-// wheel levels 0/1/2, and beyond-horizon overflow — so tier-crossing
-// reinsertions and cross-tier timestamp ties are all exercised. The
-// trace (and the embedded rng) diverges at the first ordering
-// difference, so equal traces mean bit-identical firing order.
-func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
+// cancellable timers, stop/re-arm earlier timers, and arm, re-arm
+// (earlier or later) and disarm lanes with fresh or previously
+// reserved (borrowed) seqs — lane tasks do the same, so lanes arm
+// other lanes and themselves. Half of the nlanes lanes register up
+// front and the rest while others are armed, so tree growth happens
+// mid-run; some callbacks record Pending from inside the run. Delays
+// are drawn from every tier the scheduler routes between — exact ties,
+// sub-tick, wheel levels 0/1/2, and beyond-horizon overflow — so
+// tier-crossing reinsertions and cross-tier timestamp ties are all
+// exercised. A final phase resets
+// the driver with lanes and events pending and runs a second script
+// on the same lane registrations. The trace (and the embedded rng)
+// diverges at the first ordering difference, so equal traces mean
+// bit-identical firing order.
+func runWorkload(d wlDriver, seed int64, n, nlanes int) []traceEntry {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []traceEntry
 	var stops []func() bool
+	var borrowed []uint64 // reserved seqs not yet lent to a lane
+	laneID := make([]int, nlanes)
+	laneAt := make([]time.Duration, nlanes)
+	armed := make([]bool, nlanes)
 	id := 0
 	delay := func() time.Duration {
 		switch rng.Intn(7) {
@@ -176,35 +241,92 @@ func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 			return time.Duration(rng.Int63n(512)) << tickShift
 		}
 	}
-	var fire func(myID int) func()
-	fire = func(myID int) func() {
+	nreg := 0 // lanes registered so far
+	var register func()
+	armLane := func() {
+		l := rng.Intn(nreg)
+		now := d.nowAt()
+		at := now + delay()
+		if armed[l] {
+			if rng.Intn(2) == 0 {
+				at = now + (laneAt[l]-now)/2 // re-arm earlier
+			} else {
+				at = laneAt[l] + delay() // re-arm later
+			}
+		}
+		seq := d.reserve()
+		if k := len(borrowed); k > 0 && rng.Intn(2) == 0 {
+			seq = borrowed[k-1]
+			borrowed = borrowed[:k-1]
+		}
+		id++
+		laneID[l], laneAt[l], armed[l] = id, at, true
+		d.armLane(l, at, seq)
+	}
+	var act func(myID int)
+	fire := func(myID int) func() {
 		return func() {
 			trace = append(trace, traceEntry{myID, d.nowAt()})
-			switch r := rng.Intn(10); {
-			case r < 3 && myID < n*6: // spawn follow-up events
-				for k := rng.Intn(2); k >= 0; k-- {
-					id++
-					d.after(delay(), fire(id))
-				}
-			case r < 6 && myID < n*6: // arm a cancellable timer
+			act(myID)
+		}
+	}
+	act = func(myID int) {
+		switch r := rng.Intn(13); {
+		case r < 3 && myID < n*6: // spawn follow-up events
+			for k := rng.Intn(2); k >= 0; k-- {
 				id++
+				d.after(delay(), fire(id))
+			}
+		case r < 6 && myID < n*6: // arm a cancellable timer
+			id++
+			stops = append(stops, d.timer(delay(), fire(id)))
+		case r < 8 && len(stops) > 0: // stop one; re-arm if it was live
+			if stops[rng.Intn(len(stops))]() && myID < n*6 {
+				id++
+				d.after(delay(), fire(id))
+			}
+		case r < 10 && nreg > 0 && myID < n*6: // arm or re-arm a lane
+			armLane()
+		case r < 11 && nreg > 0: // disarm a lane
+			l := rng.Intn(nreg)
+			armed[l] = false
+			d.disarmLane(l)
+		case r < 12: // reserve seqs to lend to later lane arms
+			for k := rng.Intn(3); k >= 0; k-- {
+				borrowed = append(borrowed, d.reserve())
+			}
+		case nreg < nlanes: // register a lane while others are armed
+			register()
+		default:
+			trace = append(trace, traceEntry{-d.pending() - 2, d.nowAt()})
+		}
+	}
+	register = func() {
+		l := nreg
+		nreg++
+		d.newLane(func() {
+			armed[l] = false
+			trace = append(trace, traceEntry{laneID[l], d.nowAt()})
+			act(laneID[l])
+		})
+	}
+	for nreg < (nlanes+1)/2 {
+		register()
+	}
+	start := func() {
+		for i := 0; i < n; i++ {
+			id++
+			switch {
+			case i%3 == 0:
 				stops = append(stops, d.timer(delay(), fire(id)))
-			case r < 8 && len(stops) > 0: // stop one; re-arm if it was live
-				if stops[rng.Intn(len(stops))]() && myID < n*6 {
-					id++
-					d.after(delay(), fire(id))
-				}
+			case nreg > 0 && i%5 == 1:
+				armLane()
+			default:
+				d.after(delay(), fire(id))
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		id++
-		if i%3 == 0 {
-			stops = append(stops, d.timer(delay(), fire(id)))
-		} else {
-			d.after(delay(), fire(id))
-		}
-	}
+	start()
 	// Stop a few timers before anything runs (pure-wheel cancellation).
 	for i := 0; i < len(stops); i += 4 {
 		stops[i]()
@@ -212,6 +334,21 @@ func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 	d.runUntil(90 * time.Second)
 	trace = append(trace, traceEntry{-1, d.nowAt()})
 	trace = append(trace, traceEntry{-d.pending() - 2, 0})
+	d.run()
+	trace = append(trace, traceEntry{-1, d.nowAt()})
+
+	// Reset with lanes and events pending, then run a second script on
+	// the same lane registrations.
+	start()
+	d.runUntil(time.Second)
+	d.reset()
+	stops, borrowed = nil, nil
+	clear(armed)
+	for nreg < nlanes {
+		register()
+	}
+	trace = append(trace, traceEntry{-d.pending() - 2, d.nowAt()})
+	start()
 	d.run()
 	trace = append(trace, traceEntry{-1, d.nowAt()})
 	return trace
@@ -229,32 +366,37 @@ func diffTraces(t *testing.T, seed int64, ref, got []traceEntry) {
 	}
 }
 
-// TestWheelHeapEquivalence pins the tentpole invariant: the wheel-based
-// scheduler fires randomized timer workloads in exactly the order the
-// reference sorted-list scheduler does.
+// TestWheelHeapEquivalence pins the tentpole invariant: the scheduler
+// fires randomized timer and lane workloads in exactly the order the
+// reference sorted-list scheduler does. The lane counts cross every
+// tree-capacity growth from one leaf to 256.
 func TestWheelHeapEquivalence(t *testing.T) {
 	n := 48
 	seeds := 24
 	if testing.Short() {
 		seeds = 6
 	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		ref := runWorkload(&refSched{}, seed, n)
-		got := runWorkload(realDriver{NewScheduler(1)}, seed, n)
-		diffTraces(t, seed, ref, got)
+	for _, lanes := range []int{0, 1, 2, 3, 65, 129} {
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			ref := runWorkload(&refSched{}, seed, n, lanes)
+			got := runWorkload(realDriver{NewScheduler(1)}, seed, n, lanes)
+			diffTraces(t, seed, ref, got)
+		}
 	}
 }
 
 // FuzzWheelEquivalence lets the fuzzer hunt for workload shapes where
-// the wheel's firing order deviates from the reference.
+// the wheel's or the lanes' firing order deviates from the reference.
 func FuzzWheelEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(16))
-	f.Add(int64(42), uint8(64))
-	f.Add(int64(-7), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+	f.Add(int64(1), uint8(16), uint8(0))
+	f.Add(int64(42), uint8(64), uint8(3))
+	f.Add(int64(-7), uint8(3), uint8(65))
+	f.Add(int64(5), uint8(40), uint8(129))
+	f.Fuzz(func(t *testing.T, seed int64, n, lanes uint8) {
 		size := int(n%96) + 1
-		ref := runWorkload(&refSched{}, seed, size)
-		got := runWorkload(realDriver{NewScheduler(1)}, seed, size)
+		nl := int(lanes % 130)
+		ref := runWorkload(&refSched{}, seed, size, nl)
+		got := runWorkload(realDriver{NewScheduler(1)}, seed, size, nl)
 		diffTraces(t, seed, ref, got)
 	})
 }

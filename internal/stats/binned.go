@@ -57,17 +57,24 @@ func (b *Binned) Add(at time.Duration, v float64) {
 
 // Merge adds o element-wise into b. Shapes must match — merging is
 // only defined between series of the same geometry (fleet shards share
-// one geometry by construction).
+// one geometry by construction). Merge panics when CanMerge reports
+// false.
 func (b *Binned) Merge(o *Binned) {
+	if !b.CanMerge(o) {
+		panic("stats: merging binned series with different geometry")
+	}
 	if o == nil {
 		return
-	}
-	if o.Width != b.Width || len(o.Bins) != len(b.Bins) {
-		panic("stats: merging binned series with different geometry")
 	}
 	for i, v := range o.Bins {
 		b.Bins[i] += v
 	}
+}
+
+// CanMerge reports whether b.Merge(o) is defined: o is nil, or b
+// exists with o's width and bin count.
+func (b *Binned) CanMerge(o *Binned) bool {
+	return o == nil || (b != nil && b.Width == o.Width && len(b.Bins) == len(o.Bins))
 }
 
 // Sum returns the total accumulated across all bins.

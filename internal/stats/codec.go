@@ -99,16 +99,21 @@ func (s *Sketch) AppendBinary(buf []byte) []byte {
 // DecodeSketch reads one sketch written by AppendBinary. The gamma
 // terms are recomputed from the decoded RelErr exactly as NewSketch
 // computes them, so a round-trip is indistinguishable from the
-// original (reflect.DeepEqual-equal and merge-compatible).
+// original (reflect.DeepEqual-equal and merge-compatible). Only
+// canonical encodings are accepted — bin keys strictly increasing,
+// every count positive, and zeros plus the bin counts equal to n — so
+// an accepted input re-encodes to the same bytes; anything else is
+// ErrCodec.
 func DecodeSketch(d *Decoder) (*Sketch, error) {
-	relErr := d.F64()
+	bits := d.U64()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if relErr == 0 {
+	if bits == 0 {
 		return nil, nil
 	}
-	if relErr < 0 || relErr >= 1 || math.IsNaN(relErr) {
+	relErr := math.Float64frombits(bits)
+	if !(relErr > 0 && relErr < 1) {
 		return nil, ErrCodec
 	}
 	s := NewSketch(relErr)
@@ -121,13 +126,23 @@ func DecodeSketch(d *Decoder) (*Sketch, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if nk < 0 || nk > int64(d.Len()/16) {
+	if nk < 0 || nk > int64(d.Len()/16) || s.zeros < 0 || s.zeros > s.n {
 		return nil, ErrCodec
 	}
+	left := s.n - s.zeros // samples the bins must account for
+	var prev int64
 	for i := int64(0); i < nk; i++ {
 		k := d.I64()
 		c := d.I64()
+		if (i > 0 && k <= prev) || c <= 0 || c > left {
+			return nil, ErrCodec
+		}
+		prev = k
+		left -= c
 		s.counts[int(k)] = c
+	}
+	if left != 0 {
+		return nil, ErrCodec
 	}
 	return s, d.Err()
 }

@@ -137,3 +137,72 @@ func TestCodecTruncation(t *testing.T) {
 		t.Fatal("absurd key count decoded without error")
 	}
 }
+
+// rawSketch encodes a sketch field by field, so tests can build
+// encodings AppendBinary never produces.
+func rawSketch(relErr float64, zeros, n int64, bins ...int64) []byte {
+	buf := appendF64(nil, relErr)
+	buf = appendI64(buf, zeros)
+	buf = appendI64(buf, n)
+	for range 3 { // sum, min, max
+		buf = appendF64(buf, 1)
+	}
+	buf = appendI64(buf, int64(len(bins)/2))
+	for _, v := range bins {
+		buf = appendI64(buf, v)
+	}
+	return buf
+}
+
+// TestDecodeSketchRejectsNonCanonical pins that only canonical
+// encodings decode: every case here would otherwise decode into a
+// sketch whose counts disagree with n or that re-encodes differently.
+func TestDecodeSketchRejectsNonCanonical(t *testing.T) {
+	if _, err := DecodeSketch(NewDecoder(rawSketch(0.01, 1, 4, 3, 1, 5, 2))); err != nil {
+		t.Fatalf("canonical encoding rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"duplicate key", rawSketch(0.01, 1, 4, 3, 1, 3, 2)},
+		{"descending keys", rawSketch(0.01, 1, 4, 5, 2, 3, 1)},
+		{"negative zeros", rawSketch(0.01, -1, 2, 3, 3)},
+		{"negative n", rawSketch(0.01, 0, -2, 3, -2)},
+		{"negative count", rawSketch(0.01, 0, 1, 3, -1, 5, 2)},
+		{"zero count", rawSketch(0.01, 1, 3, 3, 0, 5, 2)},
+		{"counts short of n", rawSketch(0.01, 1, 5, 3, 1, 5, 2)},
+		{"counts beyond n", rawSketch(0.01, 1, 3, 3, 1, 5, 2)},
+		{"zeros beyond n", rawSketch(0.01, 4, 3)},
+		{"negative zero relErr", rawSketch(math.Copysign(0, -1), 0, 0)},
+		{"NaN relErr", rawSketch(math.NaN(), 0, 0)},
+	} {
+		if s, err := DecodeSketch(NewDecoder(tc.data)); err != ErrCodec {
+			t.Errorf("%s: DecodeSketch = (%v, %v), want ErrCodec", tc.name, s, err)
+		}
+	}
+}
+
+// FuzzDecodeSketch checks that DecodeSketch never panics and that any
+// input it accepts re-encodes to exactly the bytes it consumed.
+func FuzzDecodeSketch(f *testing.F) {
+	s := NewSketch(0.02)
+	for _, x := range []float64{0, 0.5, 3, 3, 1e6} {
+		s.Add(x)
+	}
+	f.Add(s.AppendBinary(nil))
+	f.Add(NewSketch(0.01).AppendBinary(nil))
+	f.Add((*Sketch)(nil).AppendBinary(nil))
+	f.Add(rawSketch(0.01, 1, 4, 3, 1, 3, 2))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDecoder(data)
+		got, err := DecodeSketch(d)
+		if err != nil {
+			return
+		}
+		used := data[:len(data)-d.Len()]
+		if re := got.AppendBinary(nil); !reflect.DeepEqual(re, used) {
+			t.Fatalf("accepted %x but re-encodes as %x", used, re)
+		}
+	})
+}

@@ -113,13 +113,14 @@ func (s *Sketch) Add(x float64) {
 // Merge folds o into s. Both sketches must have been created with the
 // same RelErr; merging is exact (the merged sketch equals the sketch
 // of the concatenated streams), which is what makes sharded fleet
-// statistics independent of the worker count.
+// statistics independent of the worker count. Merge panics when
+// CanMerge reports false.
 func (s *Sketch) Merge(o *Sketch) {
+	if !s.CanMerge(o) {
+		panic("stats: merging sketches with different relative errors")
+	}
 	if o == nil || o.n == 0 {
 		return
-	}
-	if o.RelErr != s.RelErr {
-		panic("stats: merging sketches with different relative errors")
 	}
 	for k, c := range o.counts {
 		s.counts[k] += c
@@ -133,6 +134,13 @@ func (s *Sketch) Merge(o *Sketch) {
 	if o.max > s.max {
 		s.max = o.max
 	}
+}
+
+// CanMerge reports whether s.Merge(o) is defined: o holds no samples,
+// or s exists and shares o's RelErr. Callers merging sketches decoded
+// from outside the process check it first.
+func (s *Sketch) CanMerge(o *Sketch) bool {
+	return o == nil || o.n == 0 || (s != nil && s.RelErr == o.RelErr)
 }
 
 // N returns the number of samples added.

@@ -157,7 +157,13 @@ func TestSketchMergeRejectsMismatchedError(t *testing.T) {
 		}
 	}()
 	a, b := NewSketch(0.01), NewSketch(0.02)
+	if !a.CanMerge(b) || !a.CanMerge(nil) || !(*Sketch)(nil).CanMerge(b) {
+		t.Fatal("CanMerge refused an empty or nil sketch")
+	}
 	b.Add(1)
+	if a.CanMerge(b) || (*Sketch)(nil).CanMerge(b) || !b.CanMerge(b) {
+		t.Fatal("CanMerge disagrees with Merge on a non-empty sketch")
+	}
 	a.Merge(b)
 }
 
@@ -201,7 +207,11 @@ func TestBinnedMergeRejectsGeometryMismatch(t *testing.T) {
 			t.Fatal("merging different geometries must panic")
 		}
 	}()
-	NewBinned(time.Second, 10*time.Second).Merge(NewBinned(time.Second, 11*time.Second))
+	a := NewBinned(time.Second, 10*time.Second)
+	if !a.CanMerge(nil) || (*Binned)(nil).CanMerge(a) || a.CanMerge(NewBinned(2*time.Second, 20*time.Second)) {
+		t.Fatal("CanMerge disagrees with Merge")
+	}
+	a.Merge(NewBinned(time.Second, 11*time.Second))
 }
 
 func TestCVAndPeakToMean(t *testing.T) {
