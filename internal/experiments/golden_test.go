@@ -46,6 +46,17 @@ func TestGoldenArtifacts(t *testing.T) {
 		{"ccmatrix_n1_120s", func() string {
 			return CcMatrix(Options{N: 1, Seed: 1, Duration: 120 * time.Second}).Artifact.String()
 		}},
+		// The shared-bottleneck and bare two-host lab shapes: one
+		// profile link pair under many clients, and under one.
+		{"aggregate-loss_n1_30s", func() string {
+			return AggregateLoss(Options{N: 1, Seed: 1, Duration: 30 * time.Second}).Artifact.String()
+		}},
+		{"ablation-delack", func() string {
+			return AblationDelayedAck(Options{Seed: 1}).Artifact.String()
+		}},
+		{"ablation-recvbuf_20s", func() string {
+			return AblationRecvBuffer(Options{Seed: 1, Duration: 20 * time.Second}).Artifact.String()
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
