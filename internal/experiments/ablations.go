@@ -64,7 +64,7 @@ func AblationIdleReset(o Options) *AblationIdleResetResult {
 type lab struct {
 	sch            *sim.Scheduler
 	client, server *tcp.Host
-	path           *netem.Path
+	up             *netem.Link // the client's uplink
 	tr             *trace.Trace
 }
 
@@ -72,13 +72,14 @@ func newLab(seed int64, prof netem.Profile) *lab {
 	sch := sim.NewScheduler(seed)
 	client := tcp.NewHost(sch, 10, 0, 0, 1)
 	server := tcp.NewHost(sch, 203, 0, 113, 10)
-	path := netem.NewPath(sch, prof, client, server)
-	client.SetLink(path.Up)
-	server.SetLink(path.Down)
+	tree := netem.NewProfileTree(sch, prof, 1, server)
+	down, up := tree.Down(0, 0), tree.Attach(client.Addr().Addr, client)
+	server.SetLink(down)
+	client.SetLink(up)
 	tr := &trace.Trace{}
-	path.Down.AddTap(tr.Tap(trace.Down))
-	path.Up.AddTap(tr.Tap(trace.Up))
-	return &lab{sch: sch, client: client, server: server, path: path, tr: tr}
+	down.AddTap(tr.Tap(trace.Down))
+	up.AddTap(tr.Tap(trace.Up))
+	return &lab{sch: sch, client: client, server: server, up: up, tr: tr}
 }
 
 // AblationDelayedAckResult compares upstream ACK volume.
@@ -100,7 +101,7 @@ func AblationDelayedAck(o Options) *AblationDelayedAckResult {
 		c := l.client.Dial(tcp.Config{RecvBuf: 1 << 20, NoDelayedAck: noDelay}, packet.EP(203, 0, 113, 10, 80))
 		c.SetCallbacks(tcp.Callbacks{OnReadable: func() { c.Discard(1 << 30) }})
 		l.sch.RunUntil(time.Minute)
-		return l.path.Up.Sent
+		return l.up.Sent
 	}
 	counts := runner.Map(o.pool(), []bool{false, true}, func(_ int, noDelay bool) int {
 		return run(noDelay)

@@ -44,7 +44,7 @@ type AbrRateDropResult struct {
 const abrDropMbps = 24
 
 // abrFleet builds one controller's fleet: o.N aggregation groups of
-// 32 adaptive clients each (one tree shard per group), streaming a
+// 32 adaptive clients each (one fleet cell per group), streaming a
 // 900 s laddered title while every aggregation link drops to
 // abrDropMbps at one third of the horizon.
 func abrFleet(kind scenario.PlayerKind, o Options) scenario.Fleet {
@@ -52,7 +52,6 @@ func abrFleet(kind scenario.PlayerKind, o Options) scenario.Fleet {
 		Name:     "abr-ratedrop/" + kind.String(),
 		Mix:      []scenario.MixEntry{{Player: kind, Weight: 1}},
 		Clients:  o.N * 32,
-		Shards:   o.N,
 		Duration: o.Duration,
 		Arrival:  scenario.Arrival{Kind: scenario.Staggered, Window: o.Duration / 6},
 		Down:     netem.Dynamics{}.Then(netem.RateStep(o.Duration/3, abrDropMbps*netem.Mbps)),

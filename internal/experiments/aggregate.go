@@ -102,10 +102,11 @@ func AggregateLoss(o Options) *AggregateLossResult {
 			Name: "bottleneck", Down: 100 * netem.Mbps, Up: 100 * netem.Mbps,
 			RTT: 40 * time.Millisecond, Queue: 384 << 10,
 		}
-		db := netem.NewDumbbell(sch, prof, server)
-		server.SetLink(db.Down)
+		tree := netem.NewProfileTree(sch, prof, n, server)
+		down := tree.Down(0, 0)
+		server.SetLink(down)
 		meter := &rateMeter{bucket: time.Second, buckets: map[int]int64{}}
-		db.Down.AddTap(meter)
+		down.AddTap(meter)
 
 		var vids []media.Video
 		for i := 0; i < n; i++ {
@@ -123,7 +124,7 @@ func AggregateLoss(o Options) *AggregateLossResult {
 			addr := [4]byte{10, 0, byte(i >> 8), byte(i + 1)}
 			client := tcp.NewHost(sch, addr[0], addr[1], addr[2], addr[3])
 			client.SetSegmentPool(pool)
-			client.SetLink(db.Attach(addr, client))
+			client.SetLink(tree.Attach(addr, client))
 			env := &player.Env{Sch: sch, Host: client, Server: packet.EP(203, 0, 113, 10, 80)}
 			p := c.mk()
 			// Staggered arrivals over the warm-up window.
@@ -133,10 +134,10 @@ func AggregateLoss(o Options) *AggregateLossResult {
 		}
 		sch.RunUntil(horizon)
 
-		offered := db.Down.Sent + db.Down.Dropped
+		offered := down.Sent + down.Dropped
 		loss := 0.0
 		if offered > 0 {
-			loss = float64(db.Down.Dropped) / float64(offered)
+			loss = float64(down.Dropped) / float64(offered)
 		}
 		series := meter.series(warm, horizon)
 		mean := stats.Mean(series)

@@ -1,6 +1,8 @@
 package media
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -258,4 +260,44 @@ func TestFragHeaderRate(t *testing.T) {
 	if FragHeaderRate(hdr[:10]) != 0 || FragHeaderRate(make([]byte, 1400)) != 0 || FragHeaderRate(nil) != 0 {
 		t.Fatal("false positive on truncated/zero payloads")
 	}
+}
+
+// FuzzParseHeader: ParseHeader never panics on arbitrary bytes, and a
+// header it accepts re-encodes from what it recovered (plus the video
+// ID at bytes 12-16) to the same first 16 bytes — so every
+// Encode*Header output parses back to its video.
+func FuzzParseHeader(f *testing.F) {
+	for _, v := range []Video{sample(), {ID: 1 << 31, EncodingRate: 4e9, Duration: 49 * 24 * time.Hour}, {}} {
+		f.Add(EncodeFLVHeader(v))
+		f.Add(EncodeWebMHeader(v))
+		f.Add(EncodeMP4FragHeader(v, v.EncodingRate, 4*time.Second))
+	}
+	f.Add([]byte("RIFFxxxxWAVE____________"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		info, err := ParseHeader(b)
+		if err != nil {
+			return
+		}
+		v := Video{EncodingRate: info.EncodingRate, Duration: info.Duration, ID: int(binary.BigEndian.Uint32(b[12:]))}
+		var want []byte
+		switch info.Container {
+		case Flash:
+			want = EncodeFLVHeader(v)
+		case HTML5:
+			want = EncodeWebMHeader(v)
+			fr := binary.BigEndian.Uint32(b[4:])
+			if info.RateValid != (fr != invalidFrameRate && fr != 0) || info.EncodingRate != 0 {
+				t.Fatalf("WebM frame rate %#x: %+v", fr, info)
+			}
+			copy(want[4:8], b[4:8]) // the encoder always writes the invalid rate
+		case Silverlight:
+			want = EncodeMP4FragHeader(v, info.EncodingRate, info.Duration)
+		default:
+			t.Fatalf("accepted unknown container %v", info.Container)
+		}
+		// Bytes past the ID are padding the encoders zero-fill.
+		if !bytes.Equal(want[:16], b[:16]) {
+			t.Fatalf("%v header re-encodes to %x, input %x", info.Container, want[:16], b[:16])
+		}
+	})
 }

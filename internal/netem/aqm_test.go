@@ -215,8 +215,8 @@ func TestLinkAqmDropAccounting(t *testing.T) {
 }
 
 // TestTreeAqmDroppedAtTier attaches clients under a tree whose
-// aggregation tier runs RED and checks the per-tier rollup separates
-// policy drops from the rest, mirroring DroppedAtTier.
+// aggregation tier runs RED and checks DroppedAtTier's per-tier AQM
+// rollup separates policy drops from the rest.
 func TestTreeAqmDroppedAtTier(t *testing.T) {
 	sch := sim.NewScheduler(1)
 	sink := &collector{sch: sch}
@@ -235,24 +235,23 @@ func TestTreeAqmDroppedAtTier(t *testing.T) {
 		sch.At(time.Duration(i)*time.Millisecond, func() {
 			s := seg(960)
 			s.Dst.Addr = addr
-			tree.AggDown[0].Send(s)
+			tree.Down(Agg, 0).Send(s)
 		})
 	}
 	sch.Run()
-	core, agg, access := tree.AqmDroppedAtTier()
+	_, core := tree.DroppedAtTier(Core)
+	dAgg, agg := tree.DroppedAtTier(Agg)
+	_, access := tree.DroppedAtTier(Access)
 	if core != 0 || access != 0 {
 		t.Fatalf("AQM drops on policy-free tiers: core %d access %d", core, access)
 	}
 	if agg == 0 {
 		t.Fatal("RED aggregation tier never dropped under sustained overload")
 	}
-	if agg != tree.AggDown[0].AqmDrops {
-		t.Fatalf("tier rollup %d != link counter %d", agg, tree.AggDown[0].AqmDrops)
+	if agg != tree.Down(Agg, 0).AqmDrops {
+		t.Fatalf("tier rollup %d != link counter %d", agg, tree.Down(Agg, 0).AqmDrops)
 	}
-	dCore, dAgg, dAccess := tree.DroppedAtTier()
 	if agg > dAgg {
 		t.Fatalf("AQM drops %d exceed total drops %d at the aggregation tier", agg, dAgg)
 	}
-	_ = dCore
-	_ = dAccess
 }

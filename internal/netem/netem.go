@@ -1,9 +1,9 @@
 // Package netem emulates network paths: rate-limited links with
-// propagation delay, finite drop-tail queues and stochastic loss, plus
-// the four vantage-network profiles used in the paper (Research,
-// Residence, Academic, Home). Capture taps observe packets at the
-// client side of the path, which is where tcpdump ran in the paper's
-// methodology.
+// propagation delay, finite drop-tail queues and stochastic loss,
+// stacked into one topology (Tree), plus the four vantage-network
+// profiles used in the paper (Research, Residence, Academic, Home).
+// Capture taps observe packets at the client side of the path, which
+// is where tcpdump ran in the paper's methodology.
 package netem
 
 import (
@@ -400,25 +400,8 @@ func (l *Link) Send(seg *packet.Segment) {
 
 // Deliver implements Receiver by forwarding to Send, so links chain
 // into multi-hop paths: a packet leaving one tier's link enters the
-// next tier's queue, which is how the Tree topology stacks access,
-// aggregation and core hops.
+// next tier's queue, which is how a Tree stacks its tiers.
 func (l *Link) Deliver(seg *packet.Segment) { l.Send(seg) }
-
-// Path is a bidirectional network between a client and a server,
-// composed of one link per direction. By the paper's conventions the
-// client is the measurement vantage point.
-type Path struct {
-	Down *Link // server -> client
-	Up   *Link // client -> server
-}
-
-// AddTaps attaches one capture tap per direction — the duplex
-// attachment point a capture sink fan-out plugs into (each link still
-// fans out to any number of taps).
-func (p *Path) AddTaps(down, up Tap) {
-	p.Down.AddTap(down)
-	p.Up.AddTap(up)
-}
 
 // Profile describes a vantage network. Rates are the observed
 // bottleneck rates from Section 4.2; RTT and loss are chosen to match
@@ -477,19 +460,4 @@ func ProfileByName(name string) (Profile, bool) {
 		}
 	}
 	return Profile{}, false
-}
-
-// NewPath wires a duplex path with the profile's characteristics.
-// Propagation delay is split evenly per direction; loss applies to the
-// downstream (data) direction and UpLossRate (default Loss/10)
-// upstream, since ACK loss was not a reported artefact.
-func NewPath(sch *sim.Scheduler, p Profile, client, server Receiver) *Path {
-	half := p.RTT / 2
-	path := &Path{
-		Down: NewLink(sch, p.Down, half, p.Queue, RandomLoss{Rate: p.Loss}, client),
-		Up:   NewLink(sch, p.Up, half, p.Queue, RandomLoss{Rate: p.UpLossRate()}, server),
-	}
-	path.Down.SetAQM(p.AQM.New(p.Queue))
-	path.Up.SetAQM(p.AQM.New(p.Queue))
-	return path
 }

@@ -195,13 +195,16 @@ func TestProfilesComplete(t *testing.T) {
 	}
 }
 
-func TestNewPathDirections(t *testing.T) {
+// TestProfileTreeDirections: a one-client profile tree carries each
+// direction to its own end with RTT/2 of propagation.
+func TestProfileTreeDirections(t *testing.T) {
 	sch := sim.NewScheduler(1)
 	cl := &collector{sch: sch}
 	sv := &collector{sch: sch}
-	path := NewPath(sch, Research, cl, sv)
-	path.Down.Send(seg(100))
-	path.Up.Send(seg(50))
+	tr := NewProfileTree(sch, Research, 1, sv)
+	up := tr.Attach([4]byte{10, 0, 0, 1}, cl)
+	tr.Down(0, 0).Send(seg(100))
+	up.Send(seg(50))
 	sch.Run()
 	if len(cl.at) != 1 || len(sv.at) != 1 {
 		t.Fatalf("client got %d, server got %d; want 1 and 1", len(cl.at), len(sv.at))

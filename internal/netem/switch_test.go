@@ -2,7 +2,6 @@ package netem
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -70,41 +69,5 @@ func TestSwitchRouteOverwrite(t *testing.T) {
 	}
 	if len(newR.segs) != 1 {
 		t.Fatalf("new route got %d packets, want 1", len(newR.segs))
-	}
-}
-
-// TestDumbbellSharedQueue: clients attached to a dumbbell share the
-// downstream link's queue and counters, and detached destinations are
-// accounted as unrouted.
-func TestDumbbellSharedQueue(t *testing.T) {
-	sch := sim.NewScheduler(1)
-	server := &collector{sch: sch}
-	a := &collector{sch: sch}
-	b := &collector{sch: sch}
-	prof := Profile{Name: "test", Down: 8 * Mbps, Up: 8 * Mbps, RTT: 10 * time.Millisecond}
-	db := NewDumbbell(sch, prof, server)
-	addrA, addrB := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
-	upA := db.Attach(addrA, a)
-	if upA != db.Up {
-		t.Fatal("Attach must hand back the shared up link")
-	}
-	db.Attach(addrB, b)
-	db.Down.Send(segTo(addrA, 960))
-	db.Down.Send(segTo(addrB, 960))
-	db.Down.Send(segTo([4]byte{10, 0, 0, 3}, 960)) // never attached
-	sch.Run()
-	if len(a.segs) != 1 || len(b.segs) != 1 {
-		t.Fatalf("a=%d b=%d, want 1 each", len(a.segs), len(b.segs))
-	}
-	if db.Unrouted() != 1 {
-		t.Fatalf("Unrouted = %d, want 1", db.Unrouted())
-	}
-	// Shared serialization: b's packet queued behind a's (1 ms each at
-	// 8 Mbps) before the common 5 ms propagation.
-	if server.at != nil {
-		t.Fatal("server must see nothing on the down link")
-	}
-	if a.at[0] != 6*time.Millisecond || b.at[0] != 7*time.Millisecond {
-		t.Fatalf("arrivals %v / %v, want 6ms / 7ms (shared queue)", a.at[0], b.at[0])
 	}
 }

@@ -6,8 +6,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Tier describes one level of a Tree topology: the rates, one-way
-// propagation delay, queue depth and downstream loss its links get.
+// Tier describes one level of the fleet tree NewTree builds: the
+// rates, one-way propagation delay, queue depth and downstream loss
+// its links get.
 // Upstream (ACK-direction) links of a tier are loss-free — exactly the
 // UpLoss<0 convention profiles use for asymmetric paths — because
 // upstream loss was never a reported artefact and fleet runs care
@@ -40,43 +41,27 @@ func (c TreeConfig) WithDefaults() TreeConfig {
 	if c.ClientsPerAgg <= 0 {
 		c.ClientsPerAgg = 32
 	}
-	if c.Access.Down == 0 {
-		c.Access.Down = 6 * Mbps
-	}
-	if c.Access.Up == 0 {
-		c.Access.Up = 1 * Mbps
-	}
-	if c.Access.Delay == 0 {
-		c.Access.Delay = 2 * time.Millisecond
-	}
-	if c.Access.Queue == 0 {
-		c.Access.Queue = 64 << 10
-	}
-	if c.Agg.Down == 0 {
-		c.Agg.Down = 200 * Mbps
-	}
-	if c.Agg.Up == 0 {
-		c.Agg.Up = 200 * Mbps
-	}
-	if c.Agg.Delay == 0 {
-		c.Agg.Delay = 1 * time.Millisecond
-	}
-	if c.Agg.Queue == 0 {
-		c.Agg.Queue = 512 << 10
-	}
-	if c.Core.Down == 0 {
-		c.Core.Down = 2 * Gbps
-	}
-	if c.Core.Up == 0 {
-		c.Core.Up = 2 * Gbps
-	}
-	if c.Core.Delay == 0 {
-		c.Core.Delay = 5 * time.Millisecond
-	}
-	if c.Core.Queue == 0 {
-		c.Core.Queue = 4 << 20
-	}
+	c.Access = c.Access.withDefaults(Tier{Down: 6 * Mbps, Up: 1 * Mbps, Delay: 2 * time.Millisecond, Queue: 64 << 10})
+	c.Agg = c.Agg.withDefaults(Tier{Down: 200 * Mbps, Up: 200 * Mbps, Delay: 1 * time.Millisecond, Queue: 512 << 10})
+	c.Core = c.Core.withDefaults(Tier{Down: 2 * Gbps, Up: 2 * Gbps, Delay: 5 * time.Millisecond, Queue: 4 << 20})
 	return c
+}
+
+// withDefaults fills t's zero rates, delay and queue from d.
+func (t Tier) withDefaults(d Tier) Tier {
+	if t.Down == 0 {
+		t.Down = d.Down
+	}
+	if t.Up == 0 {
+		t.Up = d.Up
+	}
+	if t.Delay == 0 {
+		t.Delay = d.Delay
+	}
+	if t.Queue == 0 {
+		t.Queue = d.Queue
+	}
+	return t
 }
 
 // BaseRTT returns the no-queueing round-trip time of the full tree
@@ -85,156 +70,231 @@ func (c TreeConfig) BaseRTT() time.Duration {
 	return 2 * (c.Access.Delay + c.Agg.Delay + c.Core.Delay)
 }
 
-// Tree is the fleet-scale multi-tier topology: every client sits
-// behind its own access link, groups of ClientsPerAgg access links
-// share one aggregation link, and all aggregation links share one
-// core uplink to the server — the shape at which the paper argues
-// streaming strategies matter in aggregate, because thousands of
-// ON-OFF sources synchronize into bursts precisely at the aggregation
-// and core tiers.
-//
-// Downstream a packet takes core → aggregation(group) → access(client);
-// upstream the reverse. Every hop is an ordinary Link, so capture taps
-// (Link.AddTap) and Dynamics timelines attach at any tier.
-type Tree struct {
-	// CoreDown and CoreUp are the shared core links (server side).
-	CoreDown, CoreUp *Link
-	// AggDown and AggUp are the per-group aggregation links, indexed
-	// by group; they grow as clients attach. After a Reset the slices
-	// may be longer than the active population — Groups() bounds the
-	// live prefix.
-	AggDown, AggUp []*Link
-	// AccessDown and AccessUp are the per-client last-mile links,
-	// indexed by attach order; Clients() bounds the live prefix.
-	AccessDown, AccessUp []*Link
+// Tier indices of a NewTree fleet tree, server side first.
+const (
+	Core = iota
+	Agg
+	Access
+)
 
-	cfg      TreeConfig
-	sch      *sim.Scheduler
-	coreSW   *Switch   // routes client addresses to their agg down link
-	groupSW  []*Switch // routes client addresses to their access down link
-	nClients int       // attached clients; link slots beyond are recycled spares
-	nGroups  int       // active aggregation groups
+// linkSpec describes one direction of a tier's links.
+type linkSpec struct {
+	rate  Bandwidth
+	delay time.Duration
+	queue int
+	loss  float64
+	aqm   AqmConfig
 }
 
-// NewTree builds the core tier; aggregation and access links are
-// created on demand by Attach. The server receives everything sent up
-// the core; it must transmit on CoreDown (server.SetLink(t.CoreDown)).
+// build creates a link to the spec delivering to dst.
+func (s linkSpec) build(sch *sim.Scheduler, dst Receiver) *Link {
+	l := NewLink(sch, s.rate, s.delay, s.queue, RandomLoss{Rate: s.loss}, dst)
+	l.SetAQM(s.aqm.New(s.queue))
+	return l
+}
+
+// reset returns l to the state build gives it, keeping its wiring.
+func (s linkSpec) reset(l *Link) {
+	l.Reset(s.rate, s.delay, s.queue, RandomLoss{Rate: s.loss}, s.aqm.New(s.queue))
+}
+
+// tier is one level of a Tree: a down/up link pair per group of share
+// clients.
+type tier struct {
+	down, up   linkSpec
+	share      int       // clients per link; 0 = every client
+	direct     bool      // a link has one child and delivers straight to it
+	downs, ups []*Link   // every pair ever built, recycled by Reset
+	sws        []*Switch // per pair; nil where direct
+}
+
+// index returns the link of the tier that carries client j.
+func (tr *tier) index(j int) int {
+	if tr.share == 0 {
+		return 0
+	}
+	return j / tr.share
+}
+
+// Tree is the one topology: an ordered list of tiers, server side
+// first, where every tier is a down/up link pair shared by a fixed
+// number of clients. A downstream packet takes one link per tier to
+// its client, an upstream packet the reverse. A link whose subtree
+// holds a single child (one client, or one lower-tier link) delivers
+// straight to it; otherwise a Switch routes by destination address.
+// Every hop is an ordinary Link, so capture taps (Link.AddTap) and
+// Dynamics timelines attach at any tier.
+//
+// NewTree builds the fleet shape: per-client access links, groups of
+// ClientsPerAgg sharing an aggregation link, and one core uplink — the
+// shape at which the paper argues streaming strategies matter in
+// aggregate, because thousands of ON-OFF sources synchronize into
+// bursts at the aggregation and core tiers. NewProfileTree builds a
+// vantage network as a single tier: one client behind it is the
+// paper's one-player-per-network method, many clients share one
+// bottleneck queue.
+type Tree struct {
+	tiers    []tier
+	sch      *sim.Scheduler
+	server   Receiver
+	nClients int // attached clients; links beyond them are recycled spares
+}
+
+// NewTree builds the fleet tree. Upstream links are loss-free and
+// drop-tail. Only the core pair exists up front; aggregation and
+// access links are created on demand by Attach. The server receives
+// everything sent up the core; it must transmit on Down(Core, 0).
 func NewTree(sch *sim.Scheduler, cfg TreeConfig, server Receiver) *Tree {
 	cfg = cfg.WithDefaults()
-	t := &Tree{cfg: cfg, sch: sch, coreSW: NewSwitch()}
-	t.CoreDown = NewLink(sch, cfg.Core.Down, cfg.Core.Delay, cfg.Core.Queue, RandomLoss{Rate: cfg.Core.Loss}, t.coreSW)
-	t.CoreDown.SetAQM(cfg.Core.AQM.New(cfg.Core.Queue))
-	t.CoreUp = NewLink(sch, cfg.Core.Up, cfg.Core.Delay, cfg.Core.Queue, nil, server)
+	level := func(t Tier, share int) tier {
+		return tier{
+			down:  linkSpec{t.Down, t.Delay, t.Queue, t.Loss, t.AQM},
+			up:    linkSpec{rate: t.Up, delay: t.Delay, queue: t.Queue},
+			share: share,
+		}
+	}
+	return newTree(sch, server, level(cfg.Core, 0), level(cfg.Agg, cfg.ClientsPerAgg), level(cfg.Access, 1))
+}
+
+// NewProfileTree builds the profile's network as one link pair carried
+// by up to clients clients: RTT/2 propagation per direction, Loss
+// downstream and UpLossRate upstream (ACK loss was not a reported
+// artefact), and the profile's AQM and queue on both directions. With
+// one client the down link delivers straight to it; with more they
+// share the pair's queues through a Switch. The server receives
+// everything sent up; it must transmit on Down(0, 0).
+func NewProfileTree(sch *sim.Scheduler, p Profile, clients int, server Receiver) *Tree {
+	half := p.RTT / 2
+	return newTree(sch, server, tier{
+		down:  linkSpec{p.Down, half, p.Queue, p.Loss, p.AQM},
+		up:    linkSpec{p.Up, half, p.Queue, p.UpLossRate(), p.AQM},
+		share: clients,
+	})
+}
+
+func newTree(sch *sim.Scheduler, server Receiver, tiers ...tier) *Tree {
+	for k := range tiers {
+		child := 1
+		if k+1 < len(tiers) {
+			child = tiers[k+1].share
+		}
+		tiers[k].direct = tiers[k].share == child
+	}
+	t := &Tree{tiers: tiers, sch: sch, server: server}
+	t.grow(0, 0)
 	return t
 }
 
-// Config returns the effective (defaulted) configuration.
-func (t *Tree) Config() TreeConfig { return t.cfg }
-
-// Clients returns how many clients have been attached.
-func (t *Tree) Clients() int { return t.nClients }
-
-// Groups returns how many aggregation links are active.
-func (t *Tree) Groups() int { return t.nGroups }
-
-// Group returns the aggregation group of client i (attach order).
-func (t *Tree) Group(i int) int { return i / t.cfg.ClientsPerAgg }
+// grow builds tier k's next link pair, the one carrying client j,
+// with its uplink feeding its parent's.
+func (t *Tree) grow(k, j int) {
+	tr := &t.tiers[k]
+	up := t.server
+	if k > 0 {
+		parent := &t.tiers[k-1]
+		up = parent.ups[parent.index(j)]
+	}
+	var sw *Switch
+	var dst Receiver
+	if !tr.direct {
+		sw = NewSwitch()
+		dst = sw
+	}
+	tr.downs = append(tr.downs, tr.down.build(t.sch, dst))
+	tr.ups = append(tr.ups, tr.up.build(t.sch, up))
+	tr.sws = append(tr.sws, sw)
+}
 
 // Attach wires a new client under the tree: it creates (or, after a
-// Reset, recycles) the client's access link pair, lazily creates the
-// aggregation group it falls into (attach order fills groups
-// sequentially, ClientsPerAgg at a time), routes the address at both
-// switch levels, and returns the access uplink the client must
-// transmit on (client.SetLink).
+// Reset, recycles) the links it needs, tier by tier from the server
+// side (attach order fills each shared link in turn), routes the
+// address down every tier, and returns the uplink the client must
+// transmit on (client.SetLink). It panics past NewProfileTree's
+// client count.
 func (t *Tree) Attach(addr [4]byte, client Receiver) *Link {
-	g := t.Group(t.nClients)
-	if g == t.nGroups {
-		if g == len(t.AggDown) {
-			gsw := NewSwitch()
-			aggDown := NewLink(t.sch, t.cfg.Agg.Down, t.cfg.Agg.Delay, t.cfg.Agg.Queue, RandomLoss{Rate: t.cfg.Agg.Loss}, gsw)
-			aggDown.SetAQM(t.cfg.Agg.AQM.New(t.cfg.Agg.Queue))
-			aggUp := NewLink(t.sch, t.cfg.Agg.Up, t.cfg.Agg.Delay, t.cfg.Agg.Queue, nil, t.CoreUp)
-			t.groupSW = append(t.groupSW, gsw)
-			t.AggDown = append(t.AggDown, aggDown)
-			t.AggUp = append(t.AggUp, aggUp)
-		}
-		t.nGroups++
-	}
 	j := t.nClients
-	var accessUp *Link
-	if j == len(t.AccessDown) {
-		accessDown := NewLink(t.sch, t.cfg.Access.Down, t.cfg.Access.Delay, t.cfg.Access.Queue, RandomLoss{Rate: t.cfg.Access.Loss}, client)
-		accessDown.SetAQM(t.cfg.Access.AQM.New(t.cfg.Access.Queue))
-		accessUp = NewLink(t.sch, t.cfg.Access.Up, t.cfg.Access.Delay, t.cfg.Access.Queue, nil, t.AggUp[g])
-		t.AccessDown = append(t.AccessDown, accessDown)
-		t.AccessUp = append(t.AccessUp, accessUp)
-	} else {
-		t.AccessDown[j].dst = client
-		accessUp = t.AccessUp[j]
+	if s := t.tiers[0].share; s > 0 && j >= s {
+		panic("netem: tree is full")
 	}
 	t.nClients++
-	t.groupSW[g].Route(addr, t.AccessDown[j])
-	t.coreSW.Route(addr, t.AggDown[g])
-	return accessUp
+	for k := range t.tiers {
+		if t.tiers[k].index(j) == len(t.tiers[k].downs) {
+			t.grow(k, j)
+		}
+	}
+	child := client
+	for k := len(t.tiers) - 1; k >= 0; k-- {
+		tr := &t.tiers[k]
+		i := tr.index(j)
+		if sw := tr.sws[i]; sw != nil {
+			sw.Route(addr, child)
+		} else {
+			tr.downs[i].dst = child
+		}
+		child = tr.downs[i]
+	}
+	leaf := &t.tiers[len(t.tiers)-1]
+	return leaf.ups[leaf.index(j)]
+}
+
+// Down returns link i of tier k in the downstream direction. Tier 0
+// is the server side; its single link is the one the server sends on.
+func (t *Tree) Down(k, i int) *Link { return t.tiers[k].downs[i] }
+
+// Up returns link i of tier k in the upstream direction.
+func (t *Tree) Up(k, i int) *Link { return t.tiers[k].ups[i] }
+
+// Width returns how many links of tier k carry attached clients; the
+// server-side tier always has its one.
+func (t *Tree) Width(k int) int {
+	if k == 0 {
+		return 1
+	}
+	s := t.tiers[k].share
+	return (t.nClients + s - 1) / s
 }
 
 // Reset returns the tree to its just-built state while keeping every
-// link, switch and ring allocation: the core pair and every link ever
-// created are Reset (fresh AQM instances, Dynamics mutations undone,
-// taps and counters cleared), routes dropped, and the attach cursors
-// rewound, so the next population attaches into recycled link slots.
-// The shared scheduler must be Reset in the same pass.
+// link, switch and ring allocation: every link ever created is Reset
+// (fresh AQM instances, Dynamics mutations undone, taps and counters
+// cleared), routes dropped, and the attach cursor rewound, so the next
+// population attaches into recycled link slots. The shared scheduler
+// must be Reset in the same pass.
 func (t *Tree) Reset() {
-	cfg := t.cfg
-	t.CoreDown.Reset(cfg.Core.Down, cfg.Core.Delay, cfg.Core.Queue, RandomLoss{Rate: cfg.Core.Loss}, cfg.Core.AQM.New(cfg.Core.Queue))
-	t.CoreUp.Reset(cfg.Core.Up, cfg.Core.Delay, cfg.Core.Queue, nil, nil)
-	for g := range t.AggDown {
-		t.AggDown[g].Reset(cfg.Agg.Down, cfg.Agg.Delay, cfg.Agg.Queue, RandomLoss{Rate: cfg.Agg.Loss}, cfg.Agg.AQM.New(cfg.Agg.Queue))
-		t.AggUp[g].Reset(cfg.Agg.Up, cfg.Agg.Delay, cfg.Agg.Queue, nil, nil)
-		t.groupSW[g].Reset()
+	for k := range t.tiers {
+		tr := &t.tiers[k]
+		for i := range tr.downs {
+			tr.down.reset(tr.downs[i])
+			tr.up.reset(tr.ups[i])
+			if sw := tr.sws[i]; sw != nil {
+				sw.Reset()
+			}
+		}
 	}
-	for j := range t.AccessDown {
-		t.AccessDown[j].Reset(cfg.Access.Down, cfg.Access.Delay, cfg.Access.Queue, RandomLoss{Rate: cfg.Access.Loss}, cfg.Access.AQM.New(cfg.Access.Queue))
-		t.AccessUp[j].Reset(cfg.Access.Up, cfg.Access.Delay, cfg.Access.Queue, nil, nil)
-	}
-	t.coreSW.Reset()
 	t.nClients = 0
-	t.nGroups = 0
 }
 
 // Unrouted sums the unrouted-packet counters across every switch in
 // the tree (0 in a healthy run).
 func (t *Tree) Unrouted() int {
-	n := t.coreSW.Unrouted
-	for _, sw := range t.groupSW[:t.nGroups] {
-		n += sw.Unrouted
+	n := 0
+	for k := range t.tiers {
+		for _, sw := range t.tiers[k].sws[:t.Width(k)] {
+			if sw != nil {
+				n += sw.Unrouted
+			}
+		}
 	}
 	return n
 }
 
-// DroppedAtTier sums drop counters per tier (downstream direction),
-// the aggregate loss accounting fleet results report.
-func (t *Tree) DroppedAtTier() (core, agg, access int) {
-	core = t.CoreDown.Dropped
-	for _, l := range t.AggDown[:t.nGroups] {
-		agg += l.Dropped
+// DroppedAtTier sums tier k's downstream drop counters, the aggregate
+// loss accounting fleet results report, and the AQM-attributed subset
+// that separates policy drops from loss-model and hard-cap drops.
+func (t *Tree) DroppedAtTier(k int) (dropped, aqm int) {
+	for _, l := range t.tiers[k].downs[:t.Width(k)] {
+		dropped += l.Dropped
+		aqm += l.AqmDrops
 	}
-	for _, l := range t.AccessDown[:t.nClients] {
-		access += l.Dropped
-	}
-	return core, agg, access
-}
-
-// AqmDroppedAtTier sums the AQM-attributed drops per tier (downstream
-// direction) — the OutageDrops-style breakdown of DroppedAtTier that
-// separates policy drops from loss-model and hard-cap drops.
-func (t *Tree) AqmDroppedAtTier() (core, agg, access int) {
-	core = t.CoreDown.AqmDrops
-	for _, l := range t.AggDown[:t.nGroups] {
-		agg += l.AqmDrops
-	}
-	for _, l := range t.AccessDown[:t.nClients] {
-		access += l.AqmDrops
-	}
-	return core, agg, access
+	return dropped, aqm
 }

@@ -212,3 +212,32 @@ func BenchmarkParse(b *testing.B) {
 		}
 	}
 }
+
+// FuzzParse: Parse never panics on arbitrary bytes, and a segment it
+// accepts with its whole payload captured re-parses from Marshal to
+// the same fields.
+func FuzzParse(f *testing.F) {
+	f.Add(sampleSeg().Marshal())
+	zero := sampleSeg()
+	zero.Payload, zero.PayloadLen = nil, 100
+	f.Add(zero.Marshal())
+	f.Add(sampleSeg().Marshal()[:50]) // snaplen-truncated
+	opts := sampleSeg().Marshal()
+	opts[0] = 0x46 // IHL 6: one word of IP options
+	f.Add(append(opts[:20:20], append([]byte{1, 1, 1, 1}, opts[20:]...)...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := Parse(b)
+		if err != nil || len(s.Payload) != s.PayloadLen {
+			return
+		}
+		got, err := Parse(s.Marshal())
+		if err != nil {
+			t.Fatalf("re-parse of %v: %v", s, err)
+		}
+		if got.Flow != s.Flow || got.Seq != s.Seq || got.Ack != s.Ack || got.Flags != s.Flags ||
+			got.Window != s.Window || got.PayloadLen != s.PayloadLen || !bytes.Equal(got.Payload, s.Payload) {
+			t.Fatalf("round trip changed the segment:\n got %v\nwant %v", got, s)
+		}
+	})
+}

@@ -29,9 +29,9 @@ func abrRig(seed int64, downMbps float64, v media.Video, netflix bool) *rig {
 		Name: "abr", Down: netem.Bandwidth(downMbps) * netem.Mbps,
 		Up: 5 * netem.Mbps, RTT: 40 * time.Millisecond, Queue: 128 << 10,
 	}
-	path := netem.NewPath(sch, prof, client, server)
-	client.SetLink(path.Up)
-	server.SetLink(path.Down)
+	tree := netem.NewProfileTree(sch, prof, 1, server)
+	server.SetLink(tree.Down(0, 0))
+	client.SetLink(tree.Attach(client.Addr().Addr, client))
 	if netflix {
 		service.NewNetflix(server, tcp.Config{}, []media.Video{v})
 	} else {

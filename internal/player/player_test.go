@@ -22,9 +22,9 @@ func newRig(seed int64, videos []media.Video, netflix bool) *rig {
 	sch := sim.NewScheduler(seed)
 	client := tcp.NewHost(sch, 10, 0, 0, 1)
 	server := tcp.NewHost(sch, 203, 0, 113, 10)
-	path := netem.NewPath(sch, netem.Research, client, server)
-	client.SetLink(path.Up)
-	server.SetLink(path.Down)
+	tree := netem.NewProfileTree(sch, netem.Research, 1, server)
+	server.SetLink(tree.Down(0, 0))
+	client.SetLink(tree.Attach(client.Addr().Addr, client))
 	if netflix {
 		service.NewNetflix(server, tcp.Config{}, videos)
 	} else {

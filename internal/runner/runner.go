@@ -37,34 +37,8 @@ func (o Options) NumWorkers() int { return o.workers() }
 // concurrently for distinct items; determinism is the caller's
 // responsibility and in this repository comes from per-job seeds.
 func Map[T, R any](o Options, items []T, fn func(i int, item T) R) []R {
-	n := len(items)
-	out := make([]R, n)
-	w := o.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i, item := range items {
-			out[i] = fn(i, item)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = fn(i, items[i])
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	out := make([]R, len(items))
+	MapN(o, len(items), func(_, i int) { out[i] = fn(i, items[i]) })
 	return out
 }
 
@@ -72,8 +46,8 @@ func Map[T, R any](o Options, items []T, fn func(i int, item T) R) []R {
 // passing the stable worker index the call runs on. Workers own
 // disjoint index sets at any instant, so fn may reuse per-worker state
 // (a recycled simulation world) keyed by the worker index without
-// locking. Like Map, indexes are handed out in order; result placement
-// and determinism are the caller's responsibility.
+// locking. Indexes are handed out in order; result placement and
+// determinism are the caller's responsibility (Map places results).
 func MapN(o Options, n int, fn func(worker, i int)) {
 	w := o.workers()
 	if w > n {

@@ -123,7 +123,7 @@ func TestScenarioRateDropArtifactByteIdentical(t *testing.T) {
 }
 
 // TestScenarioFlashCrowdArtifactByteIdentical covers the
-// shared-bottleneck (netem.Dumbbell) path: each strategy is one
+// shared-bottleneck (netem.NewProfileTree) path: each strategy is one
 // single-threaded simulation, fanned out per strategy, so the crowd
 // artifact must also be pool-size independent.
 func TestScenarioFlashCrowdArtifactByteIdentical(t *testing.T) {
@@ -137,9 +137,9 @@ func TestScenarioFlashCrowdArtifactByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAggregateLossArtifactByteIdentical closes the Dumbbell coverage
-// gap: before this PR only flat-link experiments were diffed across
-// worker counts.
+// TestAggregateLossArtifactByteIdentical covers the other
+// shared-bottleneck experiment: many clients on one profile link pair,
+// one simulation per strategy.
 func TestAggregateLossArtifactByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

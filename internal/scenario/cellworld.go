@@ -80,7 +80,7 @@ func newCellWorld(f Fleet) *cellWorld {
 	w.sch = sim.NewScheduler(f.Seed) // re-seeded per cell by run
 	w.server = tcp.NewHost(w.sch, session.ServerAddr[0], session.ServerAddr[1], session.ServerAddr[2], session.ServerAddr[3])
 	w.tree = netem.NewTree(w.sch, f.Tree, w.server)
-	w.server.SetLink(w.tree.CoreDown)
+	w.server.SetLink(w.tree.Down(netem.Core, 0))
 
 	// Streaming sinks only — every stack on the tree shares one
 	// segment pool and one conn pool, the same O(flows) memory regime
@@ -169,9 +169,10 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 	}
 
 	w.coreTap.bins = append(w.coreTap.bins[:0], res.CoreUtil)
-	w.tree.CoreDown.AddTap(&w.coreTap)
+	core := w.tree.Down(netem.Core, 0)
+	core.AddTap(&w.coreTap)
 	if f.ExtraCoreTap != nil {
-		w.tree.CoreDown.AddTap(f.ExtraCoreTap)
+		core.AddTap(f.ExtraCoreTap)
 	}
 
 	w.starts = f.Arrival.TimesInto(w.starts, n, w.sch.Rand())
@@ -193,7 +194,7 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 		// The first client of a group wires the aggregation link: its
 		// burstiness series, the shared tier accumulator, and the
 		// fleet's dynamics timeline.
-		if g := w.tree.Group(j); g == groups {
+		if g := j / w.per; g == groups {
 			if g == len(w.perAgg) {
 				w.perAgg = append(w.perAgg, stats.NewBinned(f.UtilBin, f.Duration))
 				w.aggTaps = append(w.aggTaps, utilTap{bins: make([]*stats.Binned, 0, 2)})
@@ -202,11 +203,12 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 			}
 			groups++
 			w.aggTaps[g].bins = append(w.aggTaps[g].bins[:0], res.AggUtil, w.perAgg[g])
-			w.tree.AggDown[g].AddTap(&w.aggTaps[g])
-			f.Down.Apply(w.sch, w.tree.AggDown[g])
+			agg := w.tree.Down(netem.Agg, g)
+			agg.AddTap(&w.aggTaps[g])
+			f.Down.Apply(w.sch, agg)
 		}
 		states[j] = clientState{start: starts[j], first: -1, util: res.AccessUtil}
-		w.tree.AccessDown[j].AddTap(&states[j])
+		w.tree.Down(netem.Access, j).AddTap(&states[j])
 		env := &w.envs[j]
 		p := kinds[j].New()
 		players[j] = p
@@ -217,7 +219,7 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 			p.Start(env, vid)
 		}
 	}
-	res.Groups = w.tree.Groups()
+	res.Groups = w.tree.Width(netem.Agg)
 
 	w.sch.RunUntil(f.Duration)
 
@@ -264,11 +266,10 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 	}
 	res.CoreBurst.Add(stats.CV(res.CoreUtil.From(f.Warmup)))
 
-	res.CoreOffered = w.tree.CoreDown.Sent + w.tree.CoreDown.Dropped
-	core, agg, access := w.tree.DroppedAtTier()
-	res.CoreDropped = core
-	res.AggDropped = agg
-	res.AccessDropped = access
+	res.CoreOffered = core.Sent + core.Dropped
+	res.CoreDropped, _ = w.tree.DroppedAtTier(netem.Core)
+	res.AggDropped, _ = w.tree.DroppedAtTier(netem.Agg)
+	res.AccessDropped, _ = w.tree.DroppedAtTier(netem.Access)
 	res.Unrouted = w.tree.Unrouted()
 	// InducedCoreLoss is derived once, in finalize, from the merged
 	// counters — it covers the single-cell case too.

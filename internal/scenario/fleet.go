@@ -42,8 +42,8 @@ type Fleet struct {
 	// global client i is served with CCMix[i % len(CCMix)] (tcp.CCReno
 	// etc.; parse textual specs with ParseCCMix). Like Mix, the
 	// assignment depends only on the global client index, never on
-	// sharding, so mixed-CC results stay bit-identical across any
-	// worker/shard/process split. Empty keeps ServerTCP.CC for
+	// which worker or process runs a cell, so mixed-CC results stay
+	// bit-identical across any worker/process split. Empty keeps ServerTCP.CC for
 	// everyone.
 	CCMix   []string
 	Clients int // total sessions; default 64
@@ -63,16 +63,8 @@ type Fleet struct {
 	// burstiness; 0 → Duration/4.
 	Warmup time.Duration
 	Seed   int64
-	// Shards is a deprecated execution hint. The simulation unit is
-	// now always one cell — a single aggregation group of
-	// Tree.ClientsPerAgg clients with its own core uplink — so results
-	// are bit-identical for any shard, worker, and process count;
-	// parallelism comes from runner.Options alone. The field is still
-	// validated (a spec asking for more shards than clients was always
-	// a bug) but otherwise ignored.
-	Shards int
 	// Down is a dynamics timeline applied to every aggregation
-	// downstream link of every shard — the fleet-scale form of the
+	// downstream link of every cell — the fleet-scale form of the
 	// PR 2 rate-drop scenarios (mid-run congestion at the contended
 	// tier). Empty leaves the links frozen.
 	Down netem.Dynamics
@@ -88,7 +80,7 @@ type Fleet struct {
 	// equivalence tests pin the streaming one against. O(clients)
 	// extra memory; leave false at scale.
 	Exact bool
-	// ExtraCoreTap, when non-nil, is attached to each shard's core
+	// ExtraCoreTap, when non-nil, is attached to each cell's core
 	// downstream link — the hook equivalence tests use to observe the
 	// raw packet stream next to the streaming accumulators.
 	ExtraCoreTap netem.Tap
@@ -160,9 +152,6 @@ func (f Fleet) withDefaults() Fleet {
 	if f.Seed == 0 {
 		f.Seed = 1
 	}
-	if f.Shards <= 0 {
-		f.Shards = 1
-	}
 	if f.UtilBin <= 0 {
 		f.UtilBin = time.Second
 	}
@@ -204,9 +193,6 @@ func (f Fleet) Validate() error {
 	}
 	if f.Clients > maxFleetClients {
 		return fmt.Errorf("fleet %q: %d clients exceeds the 10.0.0.0/8 address plan", f.Name, f.Clients)
-	}
-	if f.Shards > f.Clients {
-		return fmt.Errorf("fleet %q: %d shards for %d clients", f.Name, f.Shards, f.Clients)
 	}
 	if f.Warmup >= f.Duration {
 		return fmt.Errorf("fleet %q: warmup %v >= duration %v", f.Name, f.Warmup, f.Duration)
@@ -282,7 +268,7 @@ func (f Fleet) Cells() int {
 // pattern expands the mix into its weighted round-robin sequence:
 // entry order, each kind Weight times. Client i plays
 // pattern[i%len(pattern)], which keeps proportions exact and the
-// assignment independent of sharding.
+// assignment independent of how cells are spread over workers.
 func (f Fleet) pattern() []PlayerKind {
 	var p []PlayerKind
 	for _, e := range f.Mix {
@@ -647,7 +633,7 @@ func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int
 // per-worker recycled cell world) and their streaming statistics fold
 // in cell order into a fresh accumulator, so the result is
 // bit-identical for any worker count — and, because the cell is the
-// physical unit, for any shard or process count too.
+// physical unit, for any process count too.
 func RunFleet(o runner.Options, f Fleet) *FleetResult {
 	f = f.withDefaults()
 	if err := f.Validate(); err != nil {

@@ -11,9 +11,10 @@
 //   - Isolated: every session gets its own path (the paper's one
 //     player per vantage methodology), expanded into seeded
 //     session.Configs and fanned out on the runner pool.
-//   - Shared: all sessions join one netem.Dumbbell bottleneck in a
-//     single deterministic simulation, with per-client captures taken
-//     by address-filtering taps on the shared links.
+//   - Shared: all sessions share one profile link pair (a one-tier
+//     netem.Tree) in a single deterministic simulation, with
+//     per-client captures taken by address-filtering taps on the
+//     shared links.
 //
 // Both shapes are bit-reproducible for any worker count: isolated
 // batches carry per-session seeds and are consumed in submission
@@ -233,11 +234,11 @@ func clientIndex(addr [4]byte) int {
 	return int(addr[1])<<16 | int(addr[2])<<8 | int(addr[3]) - 1
 }
 
-// RunShared executes every session of the spec on one shared
-// netem.Dumbbell bottleneck in a single deterministic simulation:
-// sessions join at their arrival offsets and compete for the same
-// drop-tail queue while the spec's dynamics play out on the shared
-// links. Each client's capture is analyzed individually through its
+// RunShared executes every session of the spec on one shared profile
+// bottleneck (netem.NewProfileTree) in a single deterministic
+// simulation: sessions join at their arrival offsets and compete for
+// the same drop-tail queue while the spec's dynamics play out on the
+// shared links. Each client's capture is analyzed individually through its
 // own streaming sink (or a buffered trace when Spec.Buffered asks for
 // tcpdump mode).
 func RunShared(s Spec) *SharedResult {
@@ -247,12 +248,13 @@ func RunShared(s Spec) *SharedResult {
 	}
 	sch := sim.NewScheduler(s.Seed)
 	server := tcp.NewHost(sch, session.ServerAddr[0], session.ServerAddr[1], session.ServerAddr[2], session.ServerAddr[3])
-	db := netem.NewDumbbell(sch, s.Profile, server)
-	server.SetLink(db.Down)
-	s.Down.Apply(sch, db.Down)
-	s.Up.Apply(sch, db.Up)
+	tree := netem.NewProfileTree(sch, s.Profile, s.Sessions, server)
+	down, up := tree.Down(0, 0), tree.Up(0, 0)
+	server.SetLink(down)
+	s.Down.Apply(sch, down)
+	s.Up.Apply(sch, up)
 
-	// One shared pool for every stack on the dumbbell: with only
+	// One shared pool for every stack on the bottleneck: with only
 	// streaming sinks attached, no segment survives its delivery.
 	var pool *packet.Pool
 	if !s.Buffered {
@@ -277,12 +279,13 @@ func RunShared(s Spec) *SharedResult {
 	streams := make([]*analysis.Streaming, s.Sessions)
 	downTap := &dispatchTap{down: true, byAddr: make(map[[4]byte]netem.Tap, s.Sessions)}
 	upTap := &dispatchTap{byAddr: make(map[[4]byte]netem.Tap, s.Sessions)}
-	db.AddTaps(downTap, upTap)
+	down.AddTap(downTap)
+	up.AddTap(upTap)
 	for i := 0; i < s.Sessions; i++ {
 		i := i
 		addr := clientAddr(i)
 		client := tcp.NewHost(sch, addr[0], addr[1], addr[2], addr[3])
-		client.SetLink(db.Attach(addr, client))
+		client.SetLink(tree.Attach(addr, client))
 		if pool != nil {
 			client.SetSegmentPool(pool)
 		}
@@ -322,14 +325,14 @@ func RunShared(s Spec) *SharedResult {
 		o.Packets = o.Analysis.Packets
 		aggregate += o.Analysis.TotalBytes
 	}
-	res.Offered = db.Down.Sent + db.Down.Dropped
-	res.Dropped = db.Down.Dropped
-	res.OutageDrops = db.Down.OutageDrops
-	res.AqmDrops = db.Down.AqmDrops
+	res.Offered = down.Sent + down.Dropped
+	res.Dropped = down.Dropped
+	res.OutageDrops = down.OutageDrops
+	res.AqmDrops = down.AqmDrops
 	if res.Offered > 0 {
 		res.InducedLoss = float64(res.Dropped) / float64(res.Offered)
 	}
-	res.Unrouted = db.Unrouted()
+	res.Unrouted = tree.Unrouted()
 	if s.Duration > 0 {
 		res.AggregateMbps = float64(aggregate) * 8 / s.Duration.Seconds() / 1e6
 	}

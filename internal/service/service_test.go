@@ -23,9 +23,9 @@ func newWorld(seed int64) *world {
 	client := tcp.NewHost(sch, 10, 0, 0, 1)
 	server := tcp.NewHost(sch, 203, 0, 113, 10)
 	prof := netem.Profile{Name: "t", Down: 50 * netem.Mbps, Up: 50 * netem.Mbps, RTT: 20 * time.Millisecond}
-	path := netem.NewPath(sch, prof, client, server)
-	client.SetLink(path.Up)
-	server.SetLink(path.Down)
+	tree := netem.NewProfileTree(sch, prof, 1, server)
+	server.SetLink(tree.Down(0, 0))
+	client.SetLink(tree.Attach(client.Addr().Addr, client))
 	return &world{sch: sch, client: client, server: server}
 }
 

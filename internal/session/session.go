@@ -127,11 +127,12 @@ func Run(cfg Config) *Result {
 	sch := sim.NewScheduler(cfg.Seed)
 	client := tcp.NewHost(sch, ClientAddr[0], ClientAddr[1], ClientAddr[2], ClientAddr[3])
 	server := tcp.NewHost(sch, ServerAddr[0], ServerAddr[1], ServerAddr[2], ServerAddr[3])
-	path := netem.NewPath(sch, cfg.Network, client, server)
-	client.SetLink(path.Up)
-	server.SetLink(path.Down)
-	cfg.DownDynamics.Apply(sch, path.Down)
-	cfg.UpDynamics.Apply(sch, path.Up)
+	tree := netem.NewProfileTree(sch, cfg.Network, 1, server)
+	down, up := tree.Down(0, 0), tree.Attach(ClientAddr, client)
+	server.SetLink(down)
+	client.SetLink(up)
+	cfg.DownDynamics.Apply(sch, down)
+	cfg.UpDynamics.Apply(sch, up)
 
 	// tcpdump at the client vantage point: a fan-out of streaming
 	// sinks, plus the buffered trace when asked for.
@@ -154,7 +155,8 @@ func Run(cfg Config) *Result {
 		server.SetSegmentPool(pool)
 	}
 	sink := trace.Fanout(sinks...)
-	path.AddTaps(trace.SinkTap(sink, trace.Down), trace.SinkTap(sink, trace.Up))
+	down.AddTap(trace.SinkTap(sink, trace.Down))
+	up.AddTap(trace.SinkTap(sink, trace.Up))
 
 	switch cfg.Service {
 	case YouTube:

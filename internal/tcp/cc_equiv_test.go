@@ -167,19 +167,21 @@ func equivTransfer(seed int64, ec equivCase, useRef bool) ([]wireTuple, Stats) {
 	sch := sim.NewScheduler(seed)
 	client := NewHost(sch, 10, 0, 0, 1)
 	server := NewHost(sch, 203, 0, 113, 10)
-	path := netem.NewPath(sch, ec.prof, client, server)
+	tree := netem.NewProfileTree(sch, ec.prof, 1, server)
+	down, up := tree.Down(0, 0), tree.Attach(client.Addr().Addr, client)
 	if ec.ge != nil {
-		path.Down.SetLoss(ec.ge)
+		down.SetLoss(ec.ge)
 	}
 	if ec.reorderAt > 0 {
-		path.Down.SetDelay(30 * time.Millisecond)
-		sch.At(ec.reorderAt, func() { path.Down.SetDelay(5 * time.Millisecond) })
+		down.SetDelay(30 * time.Millisecond)
+		sch.At(ec.reorderAt, func() { down.SetDelay(5 * time.Millisecond) })
 	}
-	client.SetLink(path.Up)
-	server.SetLink(path.Down)
+	client.SetLink(up)
+	server.SetLink(down)
 
 	var trace []wireTuple
-	path.AddTaps(&wireTap{dir: 'v', out: &trace}, &wireTap{dir: '^', out: &trace})
+	down.AddTap(&wireTap{dir: 'v', out: &trace})
+	up.AddTap(&wireTap{dir: '^', out: &trace})
 
 	var snd *Conn
 	server.Listen(80, Config{}, func(c *Conn) {

@@ -48,9 +48,9 @@ func runTransfer(t *testing.T, seed int64, prof netem.Profile, total int, upload
 	sch := sim.NewScheduler(seed)
 	client := NewHost(sch, 10, 0, 0, 1)
 	server := NewHost(sch, 203, 0, 113, 10)
-	path := netem.NewPath(sch, prof, client, server)
-	client.SetLink(path.Up)
-	server.SetLink(path.Down)
+	tree := netem.NewProfileTree(sch, prof, 1, server)
+	server.SetLink(tree.Down(0, 0))
+	client.SetLink(tree.Attach(client.Addr().Addr, client))
 	if pooled {
 		pool := &packet.Pool{}
 		client.SetSegmentPool(pool)
@@ -210,10 +210,10 @@ func TestInvariantsBurstyLoss(t *testing.T) {
 			server := NewHost(sch, 203, 0, 113, 10)
 			prof := netem.Profile{Name: "bursty", Down: 8 * netem.Mbps, Up: 2 * netem.Mbps,
 				RTT: 60 * time.Millisecond, UpLoss: -1}
-			path := netem.NewPath(sch, prof, client, server)
-			path.Down.SetLoss(&netem.GilbertElliott{PGoodToBad: 0.02, PBadToGood: 0.3, PGood: 0.0005, PBad: 0.3})
-			client.SetLink(path.Up)
-			server.SetLink(path.Down)
+			tree := netem.NewProfileTree(sch, prof, 1, server)
+			tree.Down(0, 0).SetLoss(&netem.GilbertElliott{PGoodToBad: 0.02, PBadToGood: 0.3, PGood: 0.0005, PBad: 0.3})
+			client.SetLink(tree.Attach(client.Addr().Addr, client))
+			server.SetLink(tree.Down(0, 0))
 
 			var srv *Conn
 			server.Listen(80, Config{}, func(c *Conn) {

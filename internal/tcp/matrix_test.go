@@ -52,19 +52,19 @@ func matrixAqm(kind string) netem.AqmConfig {
 // controller, queue policy and loss model. The queue is uncapped so
 // every drop is attributable: the loss model or the AQM, never the
 // hard cap.
-func matrixTransfer(t *testing.T, seed int64, cc, aqm string, ml matrixLoss, total int, pooled bool, horizon time.Duration) (*invariantRun, *netem.Path) {
+func matrixTransfer(t *testing.T, seed int64, cc, aqm string, ml matrixLoss, total int, pooled bool, horizon time.Duration) (*invariantRun, *netem.Tree) {
 	t.Helper()
 	sch := sim.NewScheduler(seed)
 	client := NewHost(sch, 10, 0, 0, 1)
 	server := NewHost(sch, 203, 0, 113, 10)
 	prof := netem.Profile{Name: "matrix", Down: 8 * netem.Mbps, Up: 2 * netem.Mbps,
 		RTT: 40 * time.Millisecond, Loss: ml.loss, UpLoss: -1, AQM: matrixAqm(aqm)}
-	path := netem.NewPath(sch, prof, client, server)
+	tree := netem.NewProfileTree(sch, prof, 1, server)
 	if ml.ge != nil {
-		path.Down.SetLoss(ml.ge)
+		tree.Down(0, 0).SetLoss(ml.ge)
 	}
-	client.SetLink(path.Up)
-	server.SetLink(path.Down)
+	client.SetLink(tree.Attach(client.Addr().Addr, client))
+	server.SetLink(tree.Down(0, 0))
 	if pooled {
 		pool := &packet.Pool{}
 		client.SetSegmentPool(pool)
@@ -96,7 +96,7 @@ func matrixTransfer(t *testing.T, seed int64, cc, aqm string, ml matrixLoss, tot
 	if run.snd == nil {
 		t.Fatal("connection never established")
 	}
-	return run, path
+	return run, tree
 }
 
 // TestInvariantsMatrix: 3 controllers × 3 queue policies × 3 loss
@@ -116,7 +116,7 @@ func TestInvariantsMatrix(t *testing.T) {
 					pooled := seed%2 == 0
 					name := fmt.Sprintf("%s/%s/%s/seed=%d", cc, aqm, ml.name, seed)
 					t.Run(name, func(t *testing.T) {
-						r, path := matrixTransfer(t, seed, cc, aqm, ml, total, pooled, horizon)
+						r, tree := matrixTransfer(t, seed, cc, aqm, ml, total, pooled, horizon)
 						checkConservation(t, r)
 						if r.delivered != total {
 							t.Fatalf("stream incomplete: %d of %d bytes (sender %+v)",
@@ -132,13 +132,13 @@ func TestInvariantsMatrix(t *testing.T) {
 						}
 						// Drop attribution.
 						if aqm == netem.AqmDropTail {
-							if path.Down.AqmDrops != 0 || path.Up.AqmDrops != 0 {
+							if tree.Down(0, 0).AqmDrops != 0 || tree.Up(0, 0).AqmDrops != 0 {
 								t.Fatalf("drop-tail link counted AQM drops: down %d up %d",
-									path.Down.AqmDrops, path.Up.AqmDrops)
+									tree.Down(0, 0).AqmDrops, tree.Up(0, 0).AqmDrops)
 							}
 						}
-						if path.Down.AqmDrops > path.Down.Dropped {
-							t.Fatalf("AqmDrops %d exceeds Dropped %d", path.Down.AqmDrops, path.Down.Dropped)
+						if tree.Down(0, 0).AqmDrops > tree.Down(0, 0).Dropped {
+							t.Fatalf("AqmDrops %d exceeds Dropped %d", tree.Down(0, 0).AqmDrops, tree.Down(0, 0).Dropped)
 						}
 						if ml.name == "noloss" {
 							if aqm == netem.AqmDropTail {
@@ -152,11 +152,11 @@ func TestInvariantsMatrix(t *testing.T) {
 									t.Fatalf("sender transmitted %d payload bytes for a %d-byte stream",
 										s.BytesSent, total)
 								}
-							} else if path.Down.Dropped != path.Down.AqmDrops {
+							} else if tree.Down(0, 0).Dropped != tree.Down(0, 0).AqmDrops {
 								// No loss model and no hard cap: every drop
 								// must be the AQM's.
 								t.Fatalf("unattributed drops: Dropped %d != AqmDrops %d",
-									path.Down.Dropped, path.Down.AqmDrops)
+									tree.Down(0, 0).Dropped, tree.Down(0, 0).AqmDrops)
 							}
 						}
 					})
@@ -174,9 +174,9 @@ func TestInvariantsMatrix(t *testing.T) {
 func TestMatrixAqmEngages(t *testing.T) {
 	for _, aqm := range []string{netem.AqmRED, netem.AqmCoDel} {
 		t.Run(aqm, func(t *testing.T) {
-			_, path := matrixTransfer(t, 1, CCReno, aqm, matrixLoss{name: "noloss"},
+			_, tree := matrixTransfer(t, 1, CCReno, aqm, matrixLoss{name: "noloss"},
 				512<<10, false, 120*time.Second)
-			if path.Down.AqmDrops == 0 {
+			if tree.Down(0, 0).AqmDrops == 0 {
 				t.Fatalf("%s never dropped on the strained clean cell", aqm)
 			}
 		})

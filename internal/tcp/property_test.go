@@ -19,7 +19,7 @@ func TestPropertyTransferCompletes(t *testing.T) {
 		recvBuf := 64<<10 + int(bufRaw%8)*128<<10
 		size := 64<<10 + int(sizeRaw%16)*64<<10
 		p := newPair(int64(seedRaw)+1, noLossProfile())
-		p.path.Down.SetLoss(netem.RandomLoss{Rate: loss})
+		p.down.SetLoss(netem.RandomLoss{Rate: loss})
 		p.server.Listen(80, Config{}, func(c *Conn) {
 			c.SetCallbacks(Callbacks{OnConnected: func() { c.WriteZero(size) }})
 		})
@@ -52,7 +52,7 @@ func TestTailSegmentLossDeadlock(t *testing.T) {
 		{0xe4097634 + 1, 0.075, 64<<10 + 3*128<<10, 64<<10 + 12*64<<10},
 	} {
 		p := newPair(tc.seed, noLossProfile())
-		p.path.Down.SetLoss(netem.RandomLoss{Rate: tc.loss})
+		p.down.SetLoss(netem.RandomLoss{Rate: tc.loss})
 		p.server.Listen(80, Config{}, func(c *Conn) {
 			c.SetCallbacks(Callbacks{OnConnected: func() { c.WriteZero(tc.size) }})
 		})
@@ -71,7 +71,7 @@ func TestTailSegmentLossDeadlock(t *testing.T) {
 func TestPropertyFlowControlInvariant(t *testing.T) {
 	f := func(seedRaw uint32, pullRaw uint16) bool {
 		p := newPair(int64(seedRaw)+7, noLossProfile())
-		p.path.Down.SetLoss(netem.RandomLoss{Rate: 0.01})
+		p.down.SetLoss(netem.RandomLoss{Rate: 0.01})
 		const cap = 256 << 10
 		p.server.Listen(80, Config{}, func(c *Conn) {
 			c.SetCallbacks(Callbacks{OnConnected: func() { c.WriteZero(2 << 20) }})
@@ -100,11 +100,11 @@ func TestPropertyFlowControlInvariant(t *testing.T) {
 // and the receive buffer capacity, under loss and slow reading.
 func TestPropertyAdvertisedWindowBounds(t *testing.T) {
 	p := newPair(99, noLossProfile())
-	p.path.Down.SetLoss(netem.RandomLoss{Rate: 0.02})
+	p.down.SetLoss(netem.RandomLoss{Rate: 0.02})
 	const cap = 192 << 10
 	type capture struct{ bad int }
 	cp := &capture{}
-	p.path.Up.AddTap(tapFn(func(_ time.Duration, seg *packet.Segment) {
+	p.up.AddTap(tapFn(func(_ time.Duration, seg *packet.Segment) {
 		if seg.Window < 0 || seg.Window > cap {
 			cp.bad++
 		}
@@ -136,7 +136,7 @@ func TestPropertyStatsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		p := newPair(int64(trial)+100, noLossProfile())
-		p.path.Down.SetLoss(netem.RandomLoss{Rate: rng.Float64() * 0.05})
+		p.down.SetLoss(netem.RandomLoss{Rate: rng.Float64() * 0.05})
 		var srv *Conn
 		size := 128<<10 + rng.Intn(1<<20)
 		p.server.Listen(80, Config{}, func(c *Conn) {
@@ -169,7 +169,7 @@ func TestReorderingResilience(t *testing.T) {
 	// interleaving with newer data (our FIFO links cannot reorder
 	// directly; loss-induced retransmits land "late" like reordered
 	// segments do).
-	p.path.Down.SetLoss(netem.RandomLoss{Rate: 0.05})
+	p.down.SetLoss(netem.RandomLoss{Rate: 0.05})
 	payload := make([]byte, 300<<10)
 	for i := range payload {
 		payload[i] = byte(i * 7)

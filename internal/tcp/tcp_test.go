@@ -15,17 +15,18 @@ import (
 type pair struct {
 	sch            *sim.Scheduler
 	client, server *Host
-	path           *netem.Path
+	down, up       *netem.Link
 }
 
 func newPair(seed int64, p netem.Profile) *pair {
 	sch := sim.NewScheduler(seed)
 	client := NewHost(sch, 10, 0, 0, 1)
 	server := NewHost(sch, 203, 0, 113, 10)
-	path := netem.NewPath(sch, p, client, server)
-	client.SetLink(path.Up)
-	server.SetLink(path.Down)
-	return &pair{sch: sch, client: client, server: server, path: path}
+	tree := netem.NewProfileTree(sch, p, 1, server)
+	down, up := tree.Down(0, 0), tree.Attach(client.Addr().Addr, client)
+	client.SetLink(up)
+	server.SetLink(down)
+	return &pair{sch: sch, client: client, server: server, down: down, up: up}
 }
 
 func noLossProfile() netem.Profile {
@@ -82,7 +83,7 @@ func TestBulkTransferIntegrity(t *testing.T) {
 
 func TestTransferWithLossIntegrity(t *testing.T) {
 	p := newPair(3, noLossProfile())
-	p.path.Down.SetLoss(netem.RandomLoss{Rate: 0.02})
+	p.down.SetLoss(netem.RandomLoss{Rate: 0.02})
 	payload := make([]byte, 500<<10)
 	for i := range payload {
 		payload[i] = byte(i >> 3)
@@ -204,10 +205,10 @@ func TestPersistProbeSurvivesLostWindowUpdate(t *testing.T) {
 	// Simulate losing every upstream packet briefly (the window-update
 	// ACK dies), then heal the path. Persist probes must revive the
 	// transfer.
-	p.path.Up.SetLoss(netem.RandomLoss{Rate: 1.0})
+	p.up.SetLoss(netem.RandomLoss{Rate: 1.0})
 	c.Discard(1 << 30) // window update is sent into the black hole
 	p.sch.RunUntil(2500 * time.Millisecond)
-	p.path.Up.SetLoss(netem.NoLoss{})
+	p.up.SetLoss(netem.NoLoss{})
 	got := 0
 	c.SetCallbacks(Callbacks{OnReadable: func() { got += c.Discard(1 << 30) }})
 	p.sch.RunUntil(60 * time.Second)
@@ -220,7 +221,7 @@ func TestFastRetransmitOnIsolatedLoss(t *testing.T) {
 	p := newPair(8, noLossProfile())
 	// Drop exactly one mid-stream data packet.
 	drop := &dropNth{n: 100}
-	p.path.Down.SetLoss(drop)
+	p.down.SetLoss(drop)
 	const total = 1 << 20
 	var srv *Conn
 	p.server.Listen(80, Config{}, func(c *Conn) {
@@ -267,8 +268,8 @@ func TestRTORecoversTailLoss(t *testing.T) {
 	c := p.client.Dial(Config{RecvBuf: 1 << 20}, packet.EP(203, 0, 113, 10, 80))
 	got := 0
 	c.SetCallbacks(Callbacks{OnReadable: func() { got += c.Discard(1 << 30) }})
-	p.sch.After(200*time.Millisecond, func() { p.path.Down.SetLoss(netem.RandomLoss{Rate: 1.0}) })
-	p.sch.After(1200*time.Millisecond, func() { p.path.Down.SetLoss(netem.NoLoss{}) })
+	p.sch.After(200*time.Millisecond, func() { p.down.SetLoss(netem.RandomLoss{Rate: 1.0}) })
+	p.sch.After(1200*time.Millisecond, func() { p.down.SetLoss(netem.NoLoss{}) })
 	p.sch.RunUntil(2 * time.Minute)
 	if got != total {
 		t.Fatalf("received %d/%d after blackout", got, total)
@@ -338,7 +339,7 @@ func TestHandshakeSYNLossRetry(t *testing.T) {
 	p := newPair(12, noLossProfile())
 	// Lose the first SYN.
 	first := true
-	p.path.Up.SetLoss(lossFunc(func() bool {
+	p.up.SetLoss(lossFunc(func() bool {
 		if first {
 			first = false
 			return true
@@ -372,7 +373,7 @@ func TestDelayedAckReducesAckCount(t *testing.T) {
 		c := p.client.Dial(Config{RecvBuf: 1 << 20, NoDelayedAck: !delayed}, packet.EP(203, 0, 113, 10, 80))
 		c.SetCallbacks(Callbacks{OnReadable: func() { c.Discard(1 << 30) }})
 		p.sch.RunUntil(30 * time.Second)
-		return p.path.Up.Sent
+		return p.up.Sent
 	}
 	withDelay := run(true)
 	without := run(false)

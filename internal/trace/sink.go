@@ -30,7 +30,7 @@ type TapDir struct {
 }
 
 // SinkTap returns a single-direction capture tap feeding s, suitable
-// for netem's AddTap/AddTaps attachment points.
+// for netem.Link.AddTap.
 func SinkTap(s Sink, d Dir) TapDir { return TapDir{s: s, d: d} }
 
 // Capture implements netem.Tap.
