@@ -103,9 +103,8 @@ func (s linkSpec) reset(l *Link) {
 type tier struct {
 	down, up   linkSpec
 	share      int       // clients per link; 0 = every client
-	direct     bool      // a link has one child and delivers straight to it
 	downs, ups []*Link   // every pair ever built, recycled by Reset
-	sws        []*Switch // per pair; nil where direct
+	sws        []*Switch // per pair; nil where the link has one child
 }
 
 // index returns the link of the tier that carries client j.
@@ -173,20 +172,15 @@ func NewProfileTree(sch *sim.Scheduler, p Profile, clients int, server Receiver)
 }
 
 func newTree(sch *sim.Scheduler, server Receiver, tiers ...tier) *Tree {
-	for k := range tiers {
-		child := 1
-		if k+1 < len(tiers) {
-			child = tiers[k+1].share
-		}
-		tiers[k].direct = tiers[k].share == child
-	}
 	t := &Tree{tiers: tiers, sch: sch, server: server}
 	t.grow(0, 0)
 	return t
 }
 
 // grow builds tier k's next link pair, the one carrying client j,
-// with its uplink feeding its parent's.
+// with its uplink feeding its parent's. The down link gets a Switch
+// unless it will have a single child: one client, or one link of a
+// tier with the same share.
 func (t *Tree) grow(k, j int) {
 	tr := &t.tiers[k]
 	up := t.server
@@ -194,9 +188,13 @@ func (t *Tree) grow(k, j int) {
 		parent := &t.tiers[k-1]
 		up = parent.ups[parent.index(j)]
 	}
+	child := 1
+	if k+1 < len(t.tiers) {
+		child = t.tiers[k+1].share
+	}
 	var sw *Switch
 	var dst Receiver
-	if !tr.direct {
+	if tr.share != child {
 		sw = NewSwitch()
 		dst = sw
 	}

@@ -46,8 +46,8 @@ func Map[T, R any](o Options, items []T, fn func(i int, item T) R) []R {
 // passing the stable worker index the call runs on. Workers own
 // disjoint index sets at any instant, so fn may reuse per-worker state
 // (a recycled simulation world) keyed by the worker index without
-// locking. Indexes are handed out in order; result placement and
-// determinism are the caller's responsibility (Map places results).
+// locking. Indexes are handed out in order; result placement (Map
+// does it) and determinism are the caller's responsibility.
 func MapN(o Options, n int, fn func(worker, i int)) {
 	w := o.workers()
 	if w > n {

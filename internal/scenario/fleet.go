@@ -43,8 +43,8 @@ type Fleet struct {
 	// etc.; parse textual specs with ParseCCMix). Like Mix, the
 	// assignment depends only on the global client index, never on
 	// which worker or process runs a cell, so mixed-CC results stay
-	// bit-identical across any worker/process split. Empty keeps ServerTCP.CC for
-	// everyone.
+	// bit-identical across any worker/process split. Empty keeps
+	// ServerTCP.CC for everyone.
 	CCMix   []string
 	Clients int // total sessions; default 64
 	// Tree shapes the topology; zero fields take netem defaults
