@@ -35,10 +35,14 @@ type Streaming struct {
 	lastTS  time.Duration
 	packets int
 
-	// Flow accounting: distinct Down flows (ConnCount) and per-flow
-	// sequence high-water marks (retransmission detection).
-	seen map[packet.Flow]bool
-	high map[packet.Flow]uint32
+	// Flow accounting: one table of distinct Down flows (ConnCount),
+	// indexing their sequence high-water marks (retransmission
+	// detection). cur caches curFlow's index, valid once haveFlow is
+	// set, so a packet on the previous packet's flow skips the map.
+	flowIdx map[packet.Flow]int32
+	flows   []flowState
+	curFlow packet.Flow
+	cur     int32
 
 	// RTT estimation: client-port -> SYN time, until the first
 	// complete handshake resolves the estimate.
@@ -76,6 +80,13 @@ type Streaming struct {
 // stream.
 const rungScanBudget = 64
 
+// flowState is one Down flow's retransmission-heuristic state: the
+// highest sequence end seen, once started by a first data segment.
+type flowState struct {
+	high    uint32
+	started bool
+}
+
 type ackSample struct {
 	at time.Duration
 	n  int
@@ -85,10 +96,9 @@ type ackSample struct {
 // values take the same defaults as Analyze).
 func NewStreaming(cfg Config) *Streaming {
 	return &Streaming{
-		cfg:   cfg.withDefaults(),
-		seen:  make(map[packet.Flow]bool),
-		high:  make(map[packet.Flow]uint32),
-		synAt: make(map[uint16]time.Duration),
+		cfg:     cfg.withDefaults(),
+		flowIdx: make(map[packet.Flow]int32),
+		synAt:   make(map[uint16]time.Duration),
 	}
 }
 
@@ -114,13 +124,19 @@ func (s *Streaming) Capture(at time.Duration, dir trace.Dir, seg *packet.Segment
 	}
 
 	f := seg.Flow
-	if !s.seen[f] {
-		s.seen[f] = true
-		s.res.ConnCount++
-		if !s.haveFlow {
-			s.haveFlow = true
-			s.firstFlow = f
+	if !s.haveFlow || f != s.curFlow {
+		i, ok := s.flowIdx[f]
+		if !ok {
+			i = int32(len(s.flows))
+			s.flowIdx[f] = i
+			s.flows = append(s.flows, flowState{})
+			s.res.ConnCount++
+			if !s.haveFlow {
+				s.haveFlow = true
+				s.firstFlow = f
+			}
 		}
+		s.curFlow, s.cur = f, i
 	}
 	if !s.rttKnown && seg.HasFlag(packet.FlagSYN) && seg.HasFlag(packet.FlagACK) {
 		if t0, ok := s.synAt[seg.Dst.Port]; ok {
@@ -138,15 +154,18 @@ func (s *Streaming) Capture(at time.Duration, dir trace.Dir, seg *packet.Segment
 	s.res.TotalBytes += int64(n)
 	s.rungTick(at, seg, n)
 
-	// Retransmission heuristic: sequence regression per flow.
+	// Retransmission heuristic: sequence regression per flow. A data
+	// segment ending at or below the flow's highest end seen is a
+	// retransmission (the lost original never reached the capture
+	// point); exact duplicates count too.
 	s.res.DataSegs++
 	end := seg.Seq + uint32(n)
-	if h, started := s.high[f]; !started {
-		s.high[f] = end
-	} else if int32(end-h) <= 0 {
+	if st := &s.flows[s.cur]; !st.started {
+		*st = flowState{high: end, started: true}
+	} else if int32(end-st.high) <= 0 {
 		s.res.Retrans++
 	} else {
-		s.high[f] = end
+		st.high = end
 	}
 
 	// Cycle segmentation. Segments below ProbeIgnoreBytes never start

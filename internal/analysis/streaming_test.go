@@ -151,3 +151,92 @@ func TestStreamingIgnoresCapturesAfterClose(t *testing.T) {
 		t.Fatalf("capture after close changed the result: %d -> %d", total, got)
 	}
 }
+
+// TestRetransmissions: sequence regression on a Down flow counts as a
+// retransmission of a data segment.
+func TestRetransmissions(t *testing.T) {
+	tr := &trace.Trace{}
+	tr.Capture(1*time.Millisecond, trace.Down, dseg(1000, nil, 1000))
+	tr.Capture(2*time.Millisecond, trace.Down, dseg(2000, nil, 1000))
+	tr.Capture(3*time.Millisecond, trace.Down, dseg(1000, nil, 1000)) // retransmit
+	r := Analyze(tr, Config{})
+	if r.Retrans != 1 || r.DataSegs != 3 {
+		t.Fatalf("retrans = %d/%d, want 1/3", r.Retrans, r.DataSegs)
+	}
+}
+
+// refFlowCounts is the flow accounting the analyzer kept before its
+// flow table, as two maps: distinct Down flows, and per-flow sequence
+// high-water marks whose regressions count as retransmissions.
+func refFlowCounts(dirs []trace.Dir, segs []*packet.Segment) (conns, data, retrans int) {
+	seen := map[packet.Flow]bool{}
+	high := map[packet.Flow]uint32{}
+	for i, seg := range segs {
+		if dirs[i] != trace.Down {
+			continue
+		}
+		f := seg.Flow
+		if !seen[f] {
+			seen[f] = true
+			conns++
+		}
+		n := seg.Len()
+		if n == 0 {
+			continue
+		}
+		data++
+		end := seg.Seq + uint32(n)
+		if h, started := high[f]; !started {
+			high[f] = end
+		} else if int32(end-h) <= 0 {
+			retrans++
+		} else {
+			high[f] = end
+		}
+	}
+	return conns, data, retrans
+}
+
+// FuzzStreamingFlows interleaves segments over a few flows — runs on
+// one flow, switches, sequence regressions, zero-length segments and
+// Up packets between them — and checks the streaming analyzer's flow
+// table and last-flow cursor against the two-map reference.
+func FuzzStreamingFlows(f *testing.F) {
+	f.Add([]byte{0, 8, 9, 0, 8, 9, 1, 8, 9, 0, 0x88, 9})
+	f.Add([]byte{0, 8, 0, 1, 8, 0, 2, 8, 9, 3, 8, 9, 0, 0xf0, 9, 4, 8, 9})
+	f.Add([]byte{2, 1, 1, 2, 1, 1, 2, 0xff, 1, 6, 1, 1, 2, 1, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		// Four Down flows that differ in one field each; bit 2 of the
+		// op byte sends an Up packet instead.
+		flows := []packet.Flow{
+			downFlow,
+			{Src: testServer, Dst: packet.EP(10, 0, 0, 1, 40001)},
+			{Src: testServer, Dst: packet.EP(10, 0, 0, 2, 40000)},
+			{Src: packet.EP(203, 0, 113, 11, 80), Dst: testClient},
+		}
+		next := []uint32{1000, 1 << 31, 0xfffff000, 7}
+		s := NewStreaming(Config{})
+		var dirs []trace.Dir
+		var segs []*packet.Segment
+		for i := 0; i+2 < len(ops) && len(segs) < 512; i += 3 {
+			k := int(ops[i] & 3)
+			dir, fl := trace.Down, flows[k]
+			if ops[i]&4 != 0 {
+				dir, fl = trace.Up, fl.Reverse()
+			}
+			step := int32(int8(ops[i+1])) * 100 // negative: a regression
+			n := int(ops[i+2]) * 8
+			seg := &packet.Segment{Flow: fl, Seq: next[k] + uint32(step), Flags: packet.FlagACK, Window: 65536, PayloadLen: n}
+			next[k] = seg.Seq + uint32(n)
+			dirs = append(dirs, dir)
+			segs = append(segs, seg)
+			s.Capture(time.Duration(len(segs))*time.Millisecond, dir, seg)
+		}
+		conns, data, retrans := refFlowCounts(dirs, segs)
+		r := s.Result()
+		if r.ConnCount != conns || r.DataSegs != data || r.Retrans != retrans {
+			t.Fatalf("conns/data/retrans = %d/%d/%d, reference %d/%d/%d",
+				r.ConnCount, r.DataSegs, r.Retrans, conns, data, retrans)
+		}
+	})
+}

@@ -10,6 +10,7 @@
 package httpx
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -75,7 +76,7 @@ func (r *Request) ResolveRange(size int64) (start, n int64, hasRange, ok bool) {
 		if want > size {
 			want = size
 		}
-		if want == 0 { // empty resource: nothing to satisfy
+		if want <= 0 { // empty (or negative-size) resource: nothing to satisfy
 			return 0, 0, true, false
 		}
 		return size - want, want, true, true
@@ -141,7 +142,9 @@ type serverConn struct {
 }
 
 // onReadable accumulates request bytes and dispatches every complete
-// (possibly pipelined) request to the handler.
+// (possibly pipelined) request to the handler. Like the client, it
+// aborts a connection whose next head does not end within
+// maxHeaderBytes, so wire bytes cannot grow the buffer without bound.
 func (sc *serverConn) onReadable() {
 	tmp := make([]byte, 4096)
 	for {
@@ -152,8 +155,12 @@ func (sc *serverConn) onReadable() {
 		sc.buf = append(sc.buf, tmp[:n]...)
 	}
 	for {
-		idx := strings.Index(string(sc.buf), "\r\n\r\n")
+		idx := bytes.Index(sc.buf[:min(len(sc.buf), maxHeaderBytes)], crlf2)
 		if idx < 0 {
+			if len(sc.buf) >= maxHeaderBytes {
+				sc.buf = nil
+				sc.conn.Abort()
+			}
 			return
 		}
 		head := string(sc.buf[:idx])
@@ -389,7 +396,7 @@ func (cc *ClientConn) onReadable() {
 		if n == 0 {
 			return
 		}
-		idx := strings.Index(string(probe[:n]), "\r\n\r\n")
+		idx := bytes.Index(probe[:n], crlf2)
 		if idx < 0 {
 			if n >= maxHeaderBytes {
 				cc.Conn.Abort() // unparseable response
@@ -414,8 +421,12 @@ func (cc *ClientConn) onReadable() {
 	}
 }
 
-// maxHeaderBytes bounds response headers.
+// maxHeaderBytes bounds request and response heads, terminator
+// included.
 const maxHeaderBytes = 4096
+
+// crlf2 ends a head.
+var crlf2 = []byte("\r\n\r\n")
 
 func parseResponse(head string) (*Response, error) {
 	lines := strings.Split(head, "\r\n")
@@ -435,7 +446,7 @@ func parseResponse(head string) (*Response, error) {
 	}
 	if cl, ok := resp.Headers["content-length"]; ok {
 		resp.ContentLength, err = strconv.ParseInt(cl, 10, 64)
-		if err != nil {
+		if err != nil || resp.ContentLength < 0 {
 			return nil, fmt.Errorf("httpx: bad content-length %q", cl)
 		}
 	}

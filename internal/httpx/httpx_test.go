@@ -2,6 +2,7 @@ package httpx
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -331,8 +332,126 @@ func TestParseResponseErrors(t *testing.T) {
 	if _, err := parseResponse("HTTP/1.1 200 OK\r\nContent-Length: xyz"); err == nil {
 		t.Fatal("bad content-length must error")
 	}
+	if _, err := parseResponse("HTTP/1.1 200 OK\r\nContent-Length: -1"); err == nil {
+		t.Fatal("negative content-length must error")
+	}
 	r, err := parseResponse("HTTP/1.1 206 Partial Content\r\nContent-Length: 42")
 	if err != nil || r.Status != 206 || r.ContentLength != 42 {
 		t.Fatalf("parse = %+v, %v", r, err)
 	}
+}
+
+// paddedHead returns a request head of exactly n bytes, ending in the
+// blank line when terminated is set.
+func paddedHead(n int, terminated bool) []byte {
+	head := []byte("GET /x HTTP/1.1\r\nX-Pad: ")
+	end := n
+	if terminated {
+		end -= 4
+	}
+	for len(head) < end {
+		head = append(head, 'a')
+	}
+	if terminated {
+		head = append(head, "\r\n\r\n"...)
+	}
+	return head
+}
+
+// TestOversizedRequestHeadAborts: a request head that does not end
+// within maxHeaderBytes resets the connection instead of growing the
+// server's buffer; one that ends exactly at the bound is served.
+func TestOversizedRequestHeadAborts(t *testing.T) {
+	for _, tc := range []struct {
+		head   []byte
+		served bool
+	}{
+		{paddedHead(2*maxHeaderBytes, false), false},
+		{paddedHead(maxHeaderBytes+1, true), false},
+		{paddedHead(maxHeaderBytes, true), true},
+	} {
+		w := newWorld(7)
+		served := 0
+		NewServer(w.server, 80, tcp.Config{}, func(req *Request, rw ResponseWriter) { served++ })
+		c := w.client.Dial(tcp.Config{}, packet.EP(203, 0, 113, 10, 80))
+		closed := false
+		c.SetCallbacks(tcp.Callbacks{
+			OnConnected: func() { c.Write(tc.head) },
+			OnClosed:    func() { closed = true },
+		})
+		w.sch.RunUntil(2 * time.Second)
+		if closed == tc.served || (served == 1) != tc.served {
+			t.Fatalf("%d-byte head: closed=%v served=%d, want served=%v", len(tc.head), closed, served, tc.served)
+		}
+	}
+}
+
+// FuzzParseRequest: the request-head parser never panics, and an
+// accepted head has a method and a lower-cased header map.
+func FuzzParseRequest(f *testing.F) {
+	for _, seed := range []string{
+		"GET /x HTTP/1.1\r\nHost: media\r\nRange: bytes=0-5",
+		"GET / HTTP/1.1", "", "GET", "GET /x", "\r\n\r\n", " / HTTP/1.1\r\n:",
+		"GET /x HTTP/1.1\r\nNoColon\r\nA:B:C\r\n X : y ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, head string) {
+		req, err := parseRequest(head)
+		if err != nil {
+			return
+		}
+		for k := range req.Headers {
+			if k != strings.ToLower(k) {
+				t.Fatalf("parseRequest(%q) kept header key %q", head, k)
+			}
+		}
+	})
+}
+
+// FuzzParseResponse: the response-head parser never panics, and an
+// accepted head has a header map and a non-negative Content-Length.
+func FuzzParseResponse(f *testing.F) {
+	for _, seed := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Length: 42", "HTTP/1.1 206", "HTTP/1.1 ", "HTTP/1.1",
+		"HTTP/1.1 abc OK", "SPDY/3 200 OK", "HTTP/1.1 200 OK\r\nContent-Length: xyz",
+		"HTTP/1.1 200 OK\r\nContent-Length: -1", "", "HTTP/1.1 99999999999999999999 X",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, head string) {
+		resp, err := parseResponse(head)
+		if err != nil {
+			return
+		}
+		if resp.Headers == nil || resp.ContentLength < 0 {
+			t.Fatalf("parseResponse(%q) = %+v", head, resp)
+		}
+	})
+}
+
+// FuzzResolveRange: whatever the Range header and resource size, a
+// satisfiable range lies inside the resource and is non-empty.
+func FuzzResolveRange(f *testing.F) {
+	for _, seed := range []struct {
+		h    string
+		size int64
+	}{
+		{"bytes=0-99", 100}, {"bytes=50-", 100}, {"bytes=-10", 100}, {"bytes=-200", 100},
+		{"bytes=100-", 100}, {"bytes=5-2", 100}, {"bytes=-0", 100}, {"bytes=-1", 0},
+		{"bytes=0-", 0}, {"bytes=-5", -3}, {"bytes=0-0", 1}, {"bytes=x-y", 10},
+		{"bytes=0-9223372036854775807", 10}, {"bytes=+3-", 10}, {"bytes=-+3", 10},
+	} {
+		f.Add(seed.h, seed.size)
+	}
+	f.Fuzz(func(t *testing.T, h string, size int64) {
+		req := &Request{Headers: map[string]string{"range": h}}
+		start, n, hasRange, ok := req.ResolveRange(size)
+		if !hasRange {
+			t.Fatalf("ResolveRange(%q, %d) missed the header", h, size)
+		}
+		if ok && (start < 0 || n < 1 || start > size-n) {
+			t.Fatalf("ResolveRange(%q, %d) = start %d, n %d: outside the resource", h, size, start, n)
+		}
+	})
 }

@@ -255,3 +255,22 @@ func TestTreeAqmDroppedAtTier(t *testing.T) {
 		t.Fatalf("AQM drops %d exceed total drops %d at the aggregation tier", agg, dAgg)
 	}
 }
+
+// FuzzParseAqm: the policy-name parser never panics, and an accepted
+// name validates and builds a policy for capped and uncapped queues.
+func FuzzParseAqm(f *testing.F) {
+	for _, seed := range []string{"", "droptail", "red", "codel", "RED", "CoDel", " red", "pie", "red\x00", "codel:5ms"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		a, err := ParseAqm(s)
+		if err != nil {
+			return
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("ParseAqm(%q) accepted %+v that fails Validate: %v", s, a, err)
+		}
+		a.New(0)
+		a.New(256 << 10)
+	})
+}

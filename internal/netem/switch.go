@@ -9,6 +9,10 @@ import "repro/internal/packet"
 // about strategy-induced loss).
 type Switch struct {
 	routes map[[4]byte]Receiver
+	// Last-hit route cache in front of routes: last is nil when empty,
+	// and Route and Reset refresh or clear it.
+	lastAddr [4]byte
+	last     Receiver
 	// Unrouted counts packets with no matching destination.
 	Unrouted int
 }
@@ -22,15 +26,25 @@ func NewSwitch() *Switch {
 // the map's backing storage for reuse.
 func (s *Switch) Reset() {
 	clear(s.routes)
+	s.last = nil
 	s.Unrouted = 0
 }
 
 // Route registers the receiver for a destination address.
-func (s *Switch) Route(addr [4]byte, r Receiver) { s.routes[addr] = r }
+func (s *Switch) Route(addr [4]byte, r Receiver) {
+	s.routes[addr] = r
+	s.lastAddr, s.last = addr, r
+}
 
 // Deliver implements Receiver.
 func (s *Switch) Deliver(seg *packet.Segment) {
-	if r, ok := s.routes[seg.Dst.Addr]; ok {
+	a := seg.Dst.Addr
+	if s.last != nil && a == s.lastAddr {
+		s.last.Deliver(seg)
+		return
+	}
+	if r, ok := s.routes[a]; ok {
+		s.lastAddr, s.last = a, r
 		r.Deliver(seg)
 		return
 	}

@@ -71,3 +71,36 @@ func TestSwitchRouteOverwrite(t *testing.T) {
 		t.Fatalf("new route got %d packets, want 1", len(newR.segs))
 	}
 }
+
+// TestSwitchCacheFollowsRoute: re-routing an address the last-hit
+// cache holds sends the next packet to the new receiver.
+func TestSwitchCacheFollowsRoute(t *testing.T) {
+	sch := sim.NewScheduler(1)
+	oldR := &collector{sch: sch}
+	newR := &collector{sch: sch}
+	sw := NewSwitch()
+	addr := [4]byte{10, 0, 0, 7}
+	sw.Route(addr, oldR)
+	sw.Deliver(segTo(addr, 100)) // primes the cache with addr -> oldR
+	sw.Route(addr, newR)
+	sw.Deliver(segTo(addr, 100))
+	if len(oldR.segs) != 1 || len(newR.segs) != 1 {
+		t.Fatalf("old got %d, new got %d; want 1 and 1", len(oldR.segs), len(newR.segs))
+	}
+}
+
+// TestSwitchResetClearsCache: after Reset a primed address is
+// unrouted, not delivered through the cached route.
+func TestSwitchResetClearsCache(t *testing.T) {
+	sch := sim.NewScheduler(1)
+	a := &collector{sch: sch}
+	sw := NewSwitch()
+	addr := [4]byte{10, 0, 0, 1}
+	sw.Route(addr, a)
+	sw.Deliver(segTo(addr, 100))
+	sw.Reset()
+	sw.Deliver(segTo(addr, 100))
+	if len(a.segs) != 1 || sw.Unrouted != 1 {
+		t.Fatalf("after Reset: receiver got %d, Unrouted = %d; want 1 and 1", len(a.segs), sw.Unrouted)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/tcp"
 )
 
 // FuzzParseDynamics drives the timeline parser with arbitrary specs.
@@ -137,6 +139,36 @@ func FuzzParseBandwidth(f *testing.F) {
 		bw, err := ParseBandwidth(s)
 		if err == nil && bw < 0 {
 			t.Fatalf("ParseBandwidth(%q) accepted a negative bandwidth %v", s, bw)
+		}
+	})
+}
+
+// FuzzParseCCMix: the congestion-controller mix parser never panics,
+// and an accepted mix is a non-empty list of registered lower-case
+// controller names, each entry weighted at most 1024 times.
+func FuzzParseCCMix(f *testing.F) {
+	for _, seed := range []string{
+		"", "reno", "reno:2+cubic:1+bbr:1", "cubic,bbr", "RENO", " bbr : 3 ",
+		"reno:0", "reno:-1", "reno:1025", "reno:1024", "reno:x", ":2", "+", ",,",
+		"vegas", "reno\x00", "reno:1:2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		mix, err := ParseCCMix(s)
+		if err != nil {
+			return
+		}
+		if len(mix) == 0 {
+			t.Fatalf("ParseCCMix(%q) accepted an empty mix", s)
+		}
+		if parts := strings.Count(s, "+") + strings.Count(s, ",") + 1; len(mix) > 1024*parts {
+			t.Fatalf("ParseCCMix(%q) expanded %d parts to %d entries", s, parts, len(mix))
+		}
+		for _, name := range mix {
+			if name == "" || name != strings.ToLower(name) || !tcp.ValidCC(name) {
+				t.Fatalf("ParseCCMix(%q) produced entry %q", s, name)
+			}
 		}
 	})
 }

@@ -202,11 +202,22 @@ type SharedResult struct {
 
 // dispatchTap splits a shared link's packets into per-client captures
 // by address in O(1) per packet (one map lookup, not a scan over N
-// per-client filters), so each session's trace looks exactly like
-// tcpdump on that client.
+// per-client filters; none while packets keep the previous packet's
+// address), so each session's trace looks exactly like tcpdump on
+// that client.
 type dispatchTap struct {
 	down   bool // key on Dst (downstream) instead of Src (upstream)
 	byAddr map[[4]byte]netem.Tap
+	// Last-hit cache in front of byAddr: last is nil when empty, and
+	// route refreshes it.
+	lastAddr [4]byte
+	last     netem.Tap
+}
+
+// route registers the capture for a client address.
+func (t *dispatchTap) route(addr [4]byte, tap netem.Tap) {
+	t.byAddr[addr] = tap
+	t.lastAddr, t.last = addr, tap
 }
 
 // Capture implements netem.Tap.
@@ -215,7 +226,12 @@ func (t *dispatchTap) Capture(at time.Duration, seg *packet.Segment) {
 	if t.down {
 		a = seg.Dst.Addr
 	}
+	if t.last != nil && a == t.lastAddr {
+		t.last.Capture(at, seg)
+		return
+	}
 	if inner, ok := t.byAddr[a]; ok {
+		t.lastAddr, t.last = a, inner
 		inner.Capture(at, seg)
 	}
 }
@@ -301,8 +317,8 @@ func RunShared(s Spec) *SharedResult {
 			sinks = append(sinks, tr)
 		}
 		sink := trace.Fanout(sinks...)
-		downTap.byAddr[addr] = trace.SinkTap(sink, trace.Down)
-		upTap.byAddr[addr] = trace.SinkTap(sink, trace.Up)
+		downTap.route(addr, trace.SinkTap(sink, trace.Down))
+		upTap.route(addr, trace.SinkTap(sink, trace.Up))
 		res.Outcomes[i] = Outcome{Index: i, Start: starts[i], Trace: tr}
 		env := &player.Env{Sch: sch, Host: client, Server: packet.Endpoint{Addr: session.ServerAddr, Port: 80}}
 		p := s.Player.New()

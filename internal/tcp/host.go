@@ -20,6 +20,13 @@ type Host struct {
 	nextPort  uint16
 	nextISS   uint32
 
+	// Last-hit demux cache in front of conns: almost every segment
+	// belongs to the same connection as the one before it, so one
+	// struct compare replaces the map hash. lastConn is nil when the
+	// cache is empty; every write to conns refreshes or clears it.
+	lastKey  packet.Flow
+	lastConn *Conn
+
 	// Segment pooling (streaming-capture sessions only; see
 	// SetSegmentPool). retained marks the in-delivery segment as held
 	// beyond Deliver (out-of-order queue).
@@ -130,7 +137,7 @@ func (h *Host) Dial(cfg Config, remote packet.Endpoint) *Conn {
 	c := newConn(h, cfg, local, remote)
 	c.iss = h.iss()
 	c.state = StateSynSent
-	h.conns[packet.Flow{Src: local, Dst: remote}] = c
+	h.insert(packet.Flow{Src: local, Dst: remote}, c)
 	c.sendSYN()
 	return c
 }
@@ -163,7 +170,12 @@ func (h *Host) Deliver(seg *packet.Segment) {
 
 func (h *Host) dispatch(seg *packet.Segment) {
 	key := seg.Flow.Reverse()
+	if h.lastConn != nil && key == h.lastKey {
+		h.lastConn.deliver(seg)
+		return
+	}
 	if c, ok := h.conns[key]; ok {
+		h.lastKey, h.lastConn = key, c
 		c.deliver(seg)
 		return
 	}
@@ -182,12 +194,19 @@ func (h *Host) dispatch(seg *packet.Segment) {
 		c.sndWnd = seg.Window
 		c.state = StateSynReceived
 		c.synSentAt = h.sch.Now()
-		h.conns[key] = c
+		h.insert(key, c)
 		if l.accept != nil {
 			l.accept(c)
 		}
 		c.sendSYNACK()
 	}
+}
+
+// insert registers c under key and points the demux cache at it, so
+// a key reused after an allocPort wrap never reaches a stale conn.
+func (h *Host) insert(key packet.Flow, c *Conn) {
+	h.conns[key] = c
+	h.lastKey, h.lastConn = key, c
 }
 
 // String aids debugging.

@@ -15,6 +15,7 @@ import (
 type pair struct {
 	sch            *sim.Scheduler
 	client, server *Host
+	tree           *netem.Tree
 	down, up       *netem.Link
 }
 
@@ -26,7 +27,7 @@ func newPair(seed int64, p netem.Profile) *pair {
 	down, up := tree.Down(0, 0), tree.Attach(client.Addr().Addr, client)
 	client.SetLink(up)
 	server.SetLink(down)
-	return &pair{sch: sch, client: client, server: server, down: down, up: up}
+	return &pair{sch: sch, client: client, server: server, tree: tree, down: down, up: up}
 }
 
 func noLossProfile() netem.Profile {

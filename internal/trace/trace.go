@@ -296,33 +296,3 @@ func (t *Trace) ReceiveWindowSeries() []WindowPoint {
 	}
 	return out
 }
-
-// Retransmissions counts Down-direction data segments that are
-// retransmissions from the client vantage point: their sequence range
-// ends at or below the highest byte already seen on the flow (the
-// lost original never reached the capture point, so sequence
-// regression is the observable signal — the same heuristic wireshark
-// uses). Exact duplicates (spurious retransmits) also count.
-func (t *Trace) Retransmissions() (retrans, data int) {
-	high := map[packet.Flow]uint32{} // highest end-seq seen per flow
-	started := map[packet.Flow]bool{}
-	for _, r := range t.Records {
-		if r.Dir != Down || r.Seg.Len() == 0 {
-			continue
-		}
-		data++
-		f := r.Seg.Flow
-		end := r.Seg.Seq + uint32(r.Seg.Len())
-		if !started[f] {
-			started[f] = true
-			high[f] = end
-			continue
-		}
-		if int32(end-high[f]) <= 0 {
-			retrans++
-		} else {
-			high[f] = end
-		}
-	}
-	return retrans, data
-}
